@@ -3,14 +3,13 @@
 //! One timing covers draining a whole batch — the unit a serving frontend
 //! cares about. Variants:
 //!
-//! * `sequential_query_batch` — [`Eve::query_batch`] on one reused
-//!   workspace, the single-threaded reference;
 //! * `executor_Nt` — [`BatchExecutor::run`] at 1 / 2 / 4 threads, each
-//!   worker owning a private workspace behind the atomic chunked cursor.
+//!   worker owning a private workspace and claiming units through the
+//!   atomic cursor.
 //!
-//! The 1-thread executor isolates the executor overhead (slot vector,
-//! cursor, stats) from actual parallelism; on a multi-core machine the
-//! 2- and 4-thread rows show the scaling. Batches are the mixed-`k`,
+//! The 1-thread executor is the sequential reference: it runs the same
+//! drain loop on the calling thread, with no spawn cost; on a multi-core
+//! machine the 2- and 4-thread rows show the scaling. Batches are the mixed-`k`,
 //! hub-skewed and hit/miss shapes from `spg_workloads::batch`, because those
 //! are the production shapes batch processing targets.
 
@@ -45,9 +44,6 @@ fn bench_batch_executor(c: &mut Criterion) {
     for (shape, batch) in batches(&g) {
         assert!(!batch.is_empty(), "{shape}: workload generation failed");
         let mut group = c.benchmark_group(format!("batch_executor/{shape}"));
-        group.bench_function(BenchmarkId::from_parameter("sequential_query_batch"), |b| {
-            b.iter(|| std::hint::black_box(eve.query_batch(&batch)))
-        });
         for threads in [1usize, 2, 4] {
             let executor = BatchExecutor::new(threads);
             group.bench_function(

@@ -1,14 +1,12 @@
 //! Criterion benchmark for the cohort-shared MS-BFS Phase 1.
 //!
-//! Two comparisons on a fraud-ring-shaped batch (many queries fanning out
+//! Two comparisons on fraud-ring-shaped batches (many queries fanning out
 //! from few sources into few targets — the shape the cohort dedup targets):
 //!
 //! * **per-query vs shared** — `BatchExecutor` with `shared_phase1(false)`
 //!   (one hop-bounded BFS pair per query) against the default cohort path
-//!   (one MS-BFS pass per direction per ≤ 64-pair cohort), single worker so
-//!   the difference is sharing, not parallelism;
-//! * **top-down-only vs direction-optimizing** — the shared path with the
-//!   Beamer switch disabled against the default per-level α/β switching;
+//!   (one MS-BFS pass per direction per cohort), single worker so the
+//!   difference is sharing, not parallelism;
 //! * **64-lane vs 256-lane cohorts** — the shared path capped at one-word
 //!   lane blocks against the default four-word blocks, on a wide fraud
 //!   ring whose distinct-pair count overflows a single 64-lane cohort.
@@ -20,7 +18,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use spg_core::{BatchExecutor, Eve, LaneWidth};
 use spg_graph::generators::gnm_random;
-use spg_graph::FrontierMode;
 use spg_workloads::{mixed_k_queries, shared_endpoint_queries};
 
 fn bench_batch_phase1(c: &mut Criterion) {
@@ -50,11 +47,10 @@ fn bench_batch_phase1(c: &mut Criterion) {
         let per_query = BatchExecutor::new(1).shared_phase1(false);
         let shared = BatchExecutor::new(1);
         let narrow = BatchExecutor::new(1).phase1_lanes(LaneWidth::W64);
-        let top_down = BatchExecutor::new(1).phase1_mode(FrontierMode::TopDownOnly);
 
-        // Sanity: all four paths agree before anything is timed.
+        // Sanity: all three paths agree before anything is timed.
         let reference = per_query.run(&eve, batch);
-        for executor in [&shared, &narrow, &top_down] {
+        for executor in [&shared, &narrow] {
             for (a, b) in executor.run(&eve, batch).iter().zip(&reference) {
                 assert_eq!(
                     a.as_ref().unwrap().edges(),
@@ -78,11 +74,6 @@ fn bench_batch_phase1(c: &mut Criterion) {
             BenchmarkId::new("shared_lanes64", shape),
             batch.as_slice(),
             |b, batch| b.iter(|| narrow.run(&eve, batch)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("shared_top_down_only", shape),
-            batch.as_slice(),
-            |b, batch| b.iter(|| top_down.run(&eve, batch)),
         );
     }
     group.finish();

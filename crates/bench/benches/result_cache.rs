@@ -3,12 +3,13 @@
 //! One timing covers draining a whole batch through the sequential cached
 //! path — the unit a serving frontend cares about. Variants per batch shape:
 //!
-//! * `uncached` — [`Eve::query_batch`] on one reused workspace, the
-//!   cache-free reference;
-//! * `cached_cold` — [`CachedEve::query_batch`] starting from an *empty*
-//!   cache each iteration (`clear` + misses compute-then-publish): the
-//!   worst case, measuring insert overhead on top of the pipeline;
-//! * `cached_warm` — [`CachedEve::query_batch`] on a pre-populated cache:
+//! * `uncached` — a single-worker [`BatchExecutor::run`], the cache-free
+//!   reference;
+//! * `cached_cold` — the sequential [`CachedEve`] loop (`query_batch`)
+//!   starting from an *empty* cache each iteration (`clear` + misses
+//!   compute-then-publish): the worst case, measuring insert overhead on
+//!   top of the pipeline;
+//! * `cached_warm` — `cached.query_batch` on a pre-populated cache:
 //!   the steady state of a hot fraud workload, where every query skips
 //!   phases 1–3 and pays only a shard lock, a hash probe and the answer
 //!   clone.
@@ -21,7 +22,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use spg_core::{CachedEve, Eve, Query, SpgCache};
+use spg_core::{BatchExecutor, CachedEve, Eve, Query, SpgCache};
 use spg_graph::generators::gnm_random;
 use spg_graph::VersionedGraph;
 use spg_workloads::{repeat_heavy_queries, skewed_queries};
@@ -53,8 +54,9 @@ fn bench_result_cache(c: &mut Criterion) {
     for (shape, batch) in batches(&vg) {
         assert!(!batch.is_empty(), "{shape}: workload generation failed");
         let mut group = c.benchmark_group(format!("result_cache/{shape}"));
+        let uncached = BatchExecutor::new(1);
         group.bench_function(BenchmarkId::from_parameter("uncached"), |b| {
-            b.iter(|| std::hint::black_box(eve.query_batch(&batch)))
+            b.iter(|| std::hint::black_box(uncached.run(&eve, &batch)))
         });
 
         let cache = SpgCache::new(64 << 20);

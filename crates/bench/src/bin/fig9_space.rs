@@ -1,6 +1,7 @@
 //! Figure 9: maximum / median / minimum space cost per query (k = 6) for
-//! EVE, JOIN and PathEnum, using the analytic byte accounting described in
-//! DESIGN.md §2.3.
+//! EVE, JOIN and PathEnum, using analytic per-structure byte counts (EVE's
+//! `spg_core::MemoryEstimate`, the baselines' own accounting) in place of
+//! process RSS, so the figures are deterministic across runs.
 
 use spg_bench::{
     build_dataset, default_eve, min_median_max, run_batch, HarnessConfig, SpgAlgorithm, Table,

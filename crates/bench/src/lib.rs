@@ -1,8 +1,9 @@
 //! # spg-bench — benchmark harness reproducing the paper's tables and figures
 //!
 //! Every table and figure of the evaluation section has a dedicated binary in
-//! `src/bin/` (see DESIGN.md §3 for the experiment index). This library holds
-//! the shared machinery:
+//! `src/bin/`, named after it (`fig2_growth`, `table3_redundancy`, …; the
+//! README's "Build, test, bench" section shows how to run them). This library
+//! holds the shared machinery:
 //!
 //! * [`HarnessConfig`] — command-line configuration (`--full`, `--queries N`,
 //!   `--datasets wn,uk`, `--seed S`, `--budget-ms M`);

@@ -45,15 +45,15 @@
 //!
 //! Invalid queries and queries that end up alone in their cohort skip the
 //! shared machinery entirely: the plan emits them as [`Unit::Single`] and
-//! the executors answer them on the classic per-query
-//! [`Eve::query_with`](crate::Eve::query_with) path.
+//! the executor answers them on the classic per-query
+//! [`Eve::query_budgeted`](crate::Eve::query_budgeted) path. With sharing
+//! off, [`CohortPlan::per_query`] makes every query such a unit.
 
 use std::time::Instant;
 
 use spg_graph::hash::FxHashMap;
 use spg_graph::{
-    DiGraph, Direction, FrontierMode, FrontierPolicy, LaneBlock, Lanes128, Lanes256, Lanes64,
-    MsBfsEngine, MsBfsLane, QueryBudget,
+    DiGraph, Direction, LaneBlock, Lanes128, Lanes256, Lanes64, MsBfsEngine, MsBfsLane, QueryBudget,
 };
 
 use crate::eve::Eve;
@@ -135,6 +135,14 @@ fn hub_hash(v: u32) -> u64 {
 }
 
 impl CohortPlan {
+    /// The plan without sharing: every query of a `len`-slot batch is its
+    /// own [`Unit::Single`], in input order.
+    pub fn per_query(len: usize) -> CohortPlan {
+        CohortPlan {
+            units: (0..len).map(Unit::Single).collect(),
+        }
+    }
+
     /// Groups `queries` into cohorts: invalid queries fall out as
     /// [`Unit::Single`] first, valid ones are ordered by endpoint locality
     /// (see the module docs) and then packed linearly — distinct endpoint
@@ -305,13 +313,10 @@ fn sharing_pays(cohort: &Cohort) -> bool {
 /// abandoned traversal fails all members with
 /// [`QueryError::DeadlineExceeded`]. Phases 1b–3 then run under each
 /// member's own deadline.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn run_cohort(
     eve: &Eve<'_>,
     ws: &mut QueryWorkspace,
     cohort: &Cohort,
-    mode: FrontierMode,
-    policy: FrontierPolicy,
     deadlines: &[Option<Instant>],
     stats: &mut ThreadBatchStats,
     publish: impl FnMut(usize, BatchResult),
@@ -320,45 +325,15 @@ pub(crate) fn run_cohort(
     // while the rest of the workspace runs phases 1b–3 mutably.
     if cohort.lanes.len() <= Lanes64::LANES {
         let mut engine = std::mem::take(&mut ws.msbfs64);
-        run_cohort_on(
-            eve,
-            ws,
-            &mut engine,
-            cohort,
-            mode,
-            policy,
-            deadlines,
-            stats,
-            publish,
-        );
+        run_cohort_on(eve, ws, &mut engine, cohort, deadlines, stats, publish);
         ws.msbfs64 = engine;
     } else if cohort.lanes.len() <= Lanes128::LANES {
         let mut engine = std::mem::take(&mut ws.msbfs128);
-        run_cohort_on(
-            eve,
-            ws,
-            &mut engine,
-            cohort,
-            mode,
-            policy,
-            deadlines,
-            stats,
-            publish,
-        );
+        run_cohort_on(eve, ws, &mut engine, cohort, deadlines, stats, publish);
         ws.msbfs128 = engine;
     } else {
         let mut engine = std::mem::take(&mut ws.msbfs256);
-        run_cohort_on(
-            eve,
-            ws,
-            &mut engine,
-            cohort,
-            mode,
-            policy,
-            deadlines,
-            stats,
-            publish,
-        );
+        run_cohort_on(eve, ws, &mut engine, cohort, deadlines, stats, publish);
         ws.msbfs256 = engine;
     }
 }
@@ -366,14 +341,11 @@ pub(crate) fn run_cohort(
 /// [`run_cohort`] monomorphised over one lane-block width. Only the
 /// traversal and the thin per-member distance loader are generic; phases
 /// 1b–3 behind [`Eve::query_shared`] are compiled once.
-#[allow(clippy::too_many_arguments)]
 fn run_cohort_on<B: LaneBlock>(
     eve: &Eve<'_>,
     ws: &mut QueryWorkspace,
     engine: &mut MsBfsEngine<B>,
     cohort: &Cohort,
-    mode: FrontierMode,
-    policy: FrontierPolicy,
     deadlines: &[Option<Instant>],
     stats: &mut ThreadBatchStats,
     mut publish: impl FnMut(usize, BatchResult),
@@ -395,8 +367,6 @@ fn run_cohort_on<B: LaneBlock>(
         None => QueryBudget::unlimited(),
     };
 
-    engine.set_mode(mode);
-    engine.set_policy(policy);
     let start = Instant::now(); // spg-analyze: allow(hot-loop) — phase-boundary timer (cohort MS-BFS entry)
     let traversal = engine.run_budgeted(eve.graph(), &cohort.lanes, &engine_budget);
     stats.phase1.traversal_time += start.elapsed();

@@ -50,8 +50,9 @@ impl PhaseTimings {
 }
 
 /// Analytic estimate of the bytes held by each phase's dominant data
-/// structures (see DESIGN.md §2.3 for why this stands in for RSS
-/// measurements).
+/// structures. It stands in for RSS measurements because it counts one
+/// query's own structures deterministically, where process RSS also holds
+/// allocator slack and every other thread's memory.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryEstimate {
     /// Distance index (forward + backward distance maps) plus, on the

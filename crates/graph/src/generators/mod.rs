@@ -4,7 +4,9 @@
 //! to billions of edges, downloaded from NetworkRepository, SNAP and Konect.
 //! Those downloads are not available in this environment, so the workloads
 //! crate simulates each dataset with a generator from this module whose
-//! density regime and degree skew match the original (see DESIGN.md §2.3).
+//! density regime and degree skew match the original: the path-count growth
+//! and neighbourhood density the evaluation measures follow from those two
+//! properties, not from the absolute vertex count.
 //! All generators are seeded and fully deterministic, which keeps tests,
 //! experiments and benchmarks reproducible.
 //!

@@ -58,15 +58,12 @@
 //! blocks of their reverse neighbours, with early exit once every
 //! still-possible lane has been found) in the style of Beamer's
 //! direction-optimizing BFS. Which one runs is decided per level by the
-//! engine's [`FrontierPolicy`]: the default α/β **hysteresis** enters
+//! engine's [`FrontierPolicy`], an α/β **hysteresis**: a level enters
 //! bottom-up when the frontier's incident edges exceed `edges / α` and only
 //! returns to top-down once the frontier shrinks below `vertices / β`
 //! (while bottom-up is active the per-level degree scan is skipped
-//! entirely); the legacy [`FrontierPolicy::Fixed`] threshold is retained
-//! for differential tests. [`MsBfsStats`] counts both kinds of edge scan
-//! separately so the switching stays observable, and
-//! [`FrontierPolicy::seeded_from_scan_split`] turns those observed counters
-//! back into tuned α/β thresholds.
+//! entirely). [`MsBfsStats`] counts both kinds of edge scan separately so
+//! the switching stays observable.
 
 use crate::budget::{BudgetExhausted, QueryBudget};
 use crate::csr::{DiGraph, Direction, VertexId};
@@ -240,36 +237,25 @@ pub enum FrontierMode {
 }
 
 /// How [`FrontierMode::DirectionOptimizing`] decides top-down vs bottom-up
-/// per level. Answers never depend on the policy — only the work profile
-/// does — so differential tests sweep policies freely.
+/// per level: Beamer-style α/β hysteresis with direction state per
+/// traversal phase. A top-down level switches to bottom-up when the
+/// frontier's incident edges exceed `edge_count / alpha`; bottom-up
+/// persists — skipping the per-level degree scan entirely — until the
+/// frontier shrinks below `vertex_count / beta` vertices. The defaults
+/// (α = [`FrontierPolicy::DEFAULT_ALPHA`], β = [`FrontierPolicy::DEFAULT_BETA`])
+/// keep a deliberately high entry bar — a multi-lane bottom-up gather only
+/// early-exits once *every* still-possible lane is found, so bottom-up pays
+/// later than in single-source BFS — while the β exit lets a collapsing
+/// frontier return to top-down instead of re-scanning all vertices level
+/// after level. Answers never depend on the thresholds — only the work
+/// profile does — so differential tests sweep them freely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FrontierPolicy {
-    /// Beamer-style α/β hysteresis with direction state per traversal
-    /// phase: a top-down level switches to bottom-up when the frontier's
-    /// incident edges exceed `edge_count / alpha`; bottom-up persists —
-    /// skipping the per-level degree scan entirely — until the frontier
-    /// shrinks below `vertex_count / beta` vertices. The defaults
-    /// (α = [`FrontierPolicy::DEFAULT_ALPHA`],
-    /// β = [`FrontierPolicy::DEFAULT_BETA`]) keep the deliberately high
-    /// entry bar of the old fixed threshold — a multi-lane bottom-up gather
-    /// only early-exits once *every* still-possible lane is found, so
-    /// bottom-up pays later than in single-source BFS — while the β exit
-    /// lets a collapsing frontier return to top-down instead of re-scanning
-    /// all vertices level after level.
-    Hysteresis {
-        /// Bottom-up entry: switch when `frontier_edges × alpha > edges`.
-        alpha: u32,
-        /// Top-down return: switch back when
-        /// `frontier_vertices × beta < vertices`.
-        beta: u32,
-    },
-    /// The pre-hysteresis fixed threshold, evaluated from scratch every
-    /// level: bottom-up iff `frontier_edges × denominator ≥ edges`.
-    /// Retained for differential tests and A/B measurements.
-    Fixed {
-        /// The fixed density denominator (the legacy engine used 2).
-        denominator: u32,
-    },
+pub struct FrontierPolicy {
+    /// Bottom-up entry: switch when `frontier_edges × alpha > edges`.
+    pub alpha: u32,
+    /// Top-down return: switch back when
+    /// `frontier_vertices × beta < vertices`.
+    pub beta: u32,
 }
 
 impl FrontierPolicy {
@@ -277,28 +263,11 @@ impl FrontierPolicy {
     pub const DEFAULT_ALPHA: u32 = 2;
     /// Default top-down return threshold (`frontier < vertices / 8`).
     pub const DEFAULT_BETA: u32 = 8;
-
-    /// Derives hysteresis thresholds from an observed top-down/bottom-up
-    /// edge-scan split — e.g. the `SharedPhase1Stats` traversal counters of
-    /// a prior representative batch. Cheap observed bottom-up gathers
-    /// (early exits firing, `bottom_up ≪ top_down`) justify entering
-    /// bottom-up earlier (lower α); expensive gathers push the switch
-    /// later. With no bottom-up evidence the defaults are kept.
-    pub fn seeded_from_scan_split(top_down_edge_scans: usize, bottom_up_edge_scans: usize) -> Self {
-        if bottom_up_edge_scans == 0 {
-            return FrontierPolicy::default();
-        }
-        let alpha = ((2 * bottom_up_edge_scans) / top_down_edge_scans.max(1)).clamp(1, 16) as u32;
-        FrontierPolicy::Hysteresis {
-            alpha,
-            beta: (alpha * 4).clamp(4, 64),
-        }
-    }
 }
 
 impl Default for FrontierPolicy {
     fn default() -> Self {
-        FrontierPolicy::Hysteresis {
+        FrontierPolicy {
             alpha: FrontierPolicy::DEFAULT_ALPHA,
             beta: FrontierPolicy::DEFAULT_BETA,
         }
@@ -378,7 +347,7 @@ struct Side<B: LaneBlock> {
     lane_entries: Vec<(VertexId, u32)>,
     /// Fill cursors of `index_lanes`, retained to avoid per-run allocation.
     lane_cursor: Vec<usize>,
-    /// Hysteresis state of [`FrontierPolicy::Hysteresis`]: whether the
+    /// Hysteresis state of the [`FrontierPolicy`]: whether the
     /// previous level of the current phase ran bottom-up. Reset at every
     /// phase start (`begin` / `resume_from_paused`).
     bottom_up_active: bool,
@@ -520,22 +489,17 @@ impl<B: LaneBlock> Side<B> {
         let bottom_up = match mode {
             FrontierMode::TopDownOnly => false,
             FrontierMode::BottomUpOnly => true,
-            FrontierMode::DirectionOptimizing => match policy {
-                FrontierPolicy::Fixed { denominator } => {
-                    self.frontier_edges(g, dir) * denominator as usize >= g.edge_count().max(1)
+            FrontierMode::DirectionOptimizing => {
+                if self.bottom_up_active {
+                    // β exit: stay bottom-up until the frontier thins out;
+                    // only its vertex count is consulted, so the per-level
+                    // degree scan is skipped entirely.
+                    self.frontier.len() * policy.beta as usize >= g.vertex_count().max(1)
+                } else {
+                    // α entry: a dense frontier justifies gathering.
+                    self.frontier_edges(g, dir) * policy.alpha as usize > g.edge_count().max(1)
                 }
-                FrontierPolicy::Hysteresis { alpha, beta } => {
-                    if self.bottom_up_active {
-                        // β exit: stay bottom-up until the frontier thins
-                        // out; only its vertex count is consulted, so the
-                        // per-level degree scan is skipped entirely.
-                        self.frontier.len() * beta as usize >= g.vertex_count().max(1)
-                    } else {
-                        // α entry: a dense frontier justifies gathering.
-                        self.frontier_edges(g, dir) * alpha as usize > g.edge_count().max(1)
-                    }
-                }
-            },
+            }
         };
         self.bottom_up_active = bottom_up;
         if bottom_up {
@@ -1358,37 +1322,15 @@ mod tests {
         ] {
             for policy in [
                 FrontierPolicy::default(),
-                FrontierPolicy::Hysteresis {
+                FrontierPolicy { alpha: 1, beta: 4 },
+                FrontierPolicy {
                     alpha: 14,
                     beta: 24,
                 },
-                FrontierPolicy::Fixed { denominator: 2 },
-                FrontierPolicy::Fixed { denominator: 8 },
             ] {
                 check(mode, policy);
             }
         }
-    }
-
-    #[test]
-    fn seeded_policy_reacts_to_the_scan_split() {
-        // No bottom-up evidence: keep the defaults.
-        assert_eq!(
-            FrontierPolicy::seeded_from_scan_split(1000, 0),
-            FrontierPolicy::default()
-        );
-        // Cheap gathers (bottom-up did an eighth of the top-down work):
-        // enter bottom-up eagerly.
-        let eager = FrontierPolicy::seeded_from_scan_split(8000, 1000);
-        assert_eq!(eager, FrontierPolicy::Hysteresis { alpha: 1, beta: 4 });
-        // Expensive gathers: raise the entry bar.
-        let FrontierPolicy::Hysteresis { alpha, beta } =
-            FrontierPolicy::seeded_from_scan_split(1000, 8000)
-        else {
-            panic!("seeded policies are hysteresis policies");
-        };
-        assert!(alpha > FrontierPolicy::DEFAULT_ALPHA);
-        assert!(beta >= alpha);
     }
 
     /// Reuse across runs: a big run followed by a small one must not leak

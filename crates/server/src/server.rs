@@ -14,8 +14,8 @@
 //!   of request order (clients correlate by `id`).
 //! * **Batcher** — a single thread drains the queue in deadline-bounded
 //!   micro-batches and runs each through
-//!   [`BatchExecutor::run_cached_coalesced`]: probe the shared
-//!   [`SpgCache`], collapse duplicate misses onto singleflight latches
+//!   [`BatchExecutor::run_cached_coalesced_with_deadlines`]: probe the
+//!   shared [`SpgCache`], collapse duplicate misses onto singleflight latches
 //!   ([`spg_core::FlightGroup`] — shared across batches, so a key already
 //!   computing in the previous drain is joined, not recomputed), and compute
 //!   the distinct misses as one cohort-planned parallel run.

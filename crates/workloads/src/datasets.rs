@@ -6,9 +6,10 @@
 //! so every dataset is *simulated*: a deterministic generator from
 //! [`spg_graph::generators`] with the same name, the same broad family, a
 //! matching density regime (average degree) and a heavily scaled-down vertex
-//! count. DESIGN.md §2.3 documents why this substitution preserves the
-//! behaviours the evaluation measures (path-count explosion vs. bounded
-//! `|E(SPG_k)|`, dense vs. sparse neighbourhoods, degree skew).
+//! count. The substitution preserves the behaviours the evaluation measures
+//! (path-count explosion vs. bounded `|E(SPG_k)|`, dense vs. sparse
+//! neighbourhoods, degree skew) because they follow from average degree and
+//! skew, which the generators match, rather than from absolute size.
 //!
 //! Every dataset is identified by the paper's two-letter code (`ps`, `ye`,
 //! `wn`, …). [`DatasetSpec::build`] produces the graph deterministically.

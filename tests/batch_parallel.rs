@@ -5,13 +5,13 @@
 //! sequentially on a fresh workspace — same edges per `Ok` slot, same
 //! `QueryError` per `Err` slot, in input order. Batches deliberately mix
 //! hop constraints, shuffled endpoints, huge clamped `k`s and malformed
-//! queries so error slots land on arbitrary workers mid-chunk.
+//! queries so error slots land on arbitrary workers and inside cohorts.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hop_spg::eve::{BatchExecutor, Eve, LaneWidth, Query};
-use hop_spg::graph::{DiGraph, FrontierMode};
+use hop_spg::eve::{BatchExecutor, Eve, LaneWidth, Query, QueryWorkspace};
+use hop_spg::graph::DiGraph;
 use hop_spg::workloads::{inject_invalid, mixed_k_queries, shared_endpoint_queries};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -101,13 +101,14 @@ proptest! {
         }
     }
 
-    /// `Eve::query_batch` (one reused workspace, sequential) agrees with the
-    /// executor slot-for-slot as well — the two public batch entry points
-    /// can never drift apart.
+    /// A sequential per-query loop on one reused workspace agrees with the
+    /// executor slot-for-slot as well, so neither workspace reuse nor
+    /// cohort planning can make a batch drift from per-query answers.
     #[test]
     fn query_batch_agrees_with_executor((g, batch) in graph_and_batch()) {
         let eve = Eve::with_defaults(&g);
-        let sequential = eve.query_batch(&batch);
+        let mut ws = QueryWorkspace::new();
+        let sequential: Vec<_> = batch.iter().map(|&q| eve.query_with(&mut ws, q)).collect();
         let parallel = BatchExecutor::new(4).run(&eve, &batch);
         for (i, (s, p)) in sequential.iter().zip(&parallel).enumerate() {
             match (s, p) {
@@ -121,8 +122,8 @@ proptest! {
     /// Fraud-ring-shaped batches (few sources × few targets, so cohorts are
     /// dense with duplicate `(s, t)` pairs at mixed `k` including huge
     /// clamped ones and invalid slots) stay bit-identical to sequential
-    /// fresh-workspace queries at every thread count and under every
-    /// Phase-1 frontier mode, with and without sharing.
+    /// fresh-workspace queries at every thread count, with and without
+    /// sharing.
     #[test]
     fn shared_endpoint_cohorts_match_sequential(
         (g, raw) in (6usize..16).prop_flat_map(|n| {
@@ -151,35 +152,27 @@ proptest! {
         for threads in THREAD_COUNTS {
             assert_matches_sequential(&eve, &batch, &expected, threads)?;
         }
-        for mode in [FrontierMode::TopDownOnly, FrontierMode::BottomUpOnly] {
-            let outcome = BatchExecutor::new(3)
-                .phase1_mode(mode)
-                .run_detailed(&eve, &batch);
-            for (i, (got, exp)) in outcome.results.iter().zip(&expected).enumerate() {
-                match (got, exp) {
-                    (Ok(a), Ok(b)) => {
-                        prop_assert!(a.edges() == b.as_slice(), "slot {i} mode {mode:?}")
-                    }
-                    (Err(a), Err(b)) => {
-                        prop_assert!(&a.to_string() == b, "slot {i} mode {mode:?}")
-                    }
-                    _ => prop_assert!(false, "slot {i} mode {mode:?}: Ok/Err mismatch"),
-                }
+        let outcome = BatchExecutor::new(3).run_detailed(&eve, &batch);
+        for (i, (got, exp)) in outcome.results.iter().zip(&expected).enumerate() {
+            match (got, exp) {
+                (Ok(a), Ok(b)) => prop_assert!(a.edges() == b.as_slice(), "slot {i}"),
+                (Err(a), Err(b)) => prop_assert!(&a.to_string() == b, "slot {i}"),
+                _ => prop_assert!(false, "slot {i}: Ok/Err mismatch"),
             }
-            // Every valid query was either cohort-shared or a singleton
-            // fallback, and lanes never exceed the distinct-pair count per
-            // cohort (a pair recurring in several member-capped cohorts is
-            // traversed once per cohort).
-            let valid = batch.iter().filter(|q| q.validate(&g).is_ok()).count();
-            let p1 = &outcome.stats.phase1;
-            prop_assert!(p1.phase1_shared <= valid);
-            prop_assert!(
-                p1.distinct_endpoints <= 9 * p1.cohorts.max(1),
-                "at most 3 × 3 pairs per cohort"
-            );
-            if p1.phase1_shared > 0 {
-                prop_assert!(p1.dedup_ratio().unwrap() >= 1.0);
-            }
+        }
+        // Every valid query was either cohort-shared or a singleton
+        // fallback, and lanes never exceed the distinct-pair count per
+        // cohort (a pair recurring in several member-capped cohorts is
+        // traversed once per cohort).
+        let valid = batch.iter().filter(|q| q.validate(&g).is_ok()).count();
+        let p1 = &outcome.stats.phase1;
+        prop_assert!(p1.phase1_shared <= valid);
+        prop_assert!(
+            p1.distinct_endpoints <= 9 * p1.cohorts.max(1),
+            "at most 3 × 3 pairs per cohort"
+        );
+        if p1.phase1_shared > 0 {
+            prop_assert!(p1.dedup_ratio().unwrap() >= 1.0);
         }
         // Sharing off is the same answer, slot for slot.
         let legacy = BatchExecutor::new(2)
@@ -280,21 +273,21 @@ fn multi_cohort_batches_with_duplicates_and_aliases() {
         p1.dedup_ratio()
     );
 
-    // `Eve::query_batch` (sequential cohorts) agrees slot-for-slot too.
-    let sequential = eve.query_batch(&batch);
+    // The default 256-lane single-worker plan (one uncapped cohort per
+    // 256 pairs) agrees slot-for-slot too.
+    let sequential = BatchExecutor::new(1).run(&eve, &batch);
     for (i, (s, e)) in sequential.iter().zip(&expected).enumerate() {
         match (s, e) {
-            (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges(), "slot {i} query_batch"),
-            (Err(a), Err(b)) => assert_eq!(a, b, "slot {i} query_batch"),
-            other => panic!("slot {i} query_batch: Ok/Err mismatch {other:?}"),
+            (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges(), "slot {i} 256 lanes"),
+            (Err(a), Err(b)) => assert_eq!(a, b, "slot {i} 256 lanes"),
+            other => panic!("slot {i} 256 lanes: Ok/Err mismatch {other:?}"),
         }
     }
 }
 
 /// Deterministic large-batch check on a realistic graph: a 300-vertex gnm
 /// batch with every fifth slot replaced by an invalid query, compared across
-/// all thread counts and small chunk sizes (so chunk boundaries fall inside
-/// error runs).
+/// all thread counts.
 #[test]
 fn large_mixed_batch_with_error_slots() {
     let g = hop_spg::graph::generators::gnm_random(300, 1500, 77);
@@ -305,23 +298,13 @@ fn large_mixed_batch_with_error_slots() {
     let expected: Vec<_> = batch.iter().map(|&q| eve.query(q)).collect();
 
     for threads in THREAD_COUNTS {
-        for chunk in [0usize, 1, 3] {
-            let mut executor = BatchExecutor::new(threads);
-            if chunk > 0 {
-                executor = executor.chunk_size(chunk);
-            }
-            let outcome = executor.run_detailed(&eve, &batch);
-            assert_eq!(outcome.stats.errors, injected);
-            for (i, (got, exp)) in outcome.results.iter().zip(&expected).enumerate() {
-                match (got, exp) {
-                    (Ok(a), Ok(b)) => assert_eq!(
-                        a.edges(),
-                        b.edges(),
-                        "slot {i} threads {threads} chunk {chunk}"
-                    ),
-                    (Err(a), Err(b)) => assert_eq!(a, b),
-                    other => panic!("slot {i}: Ok/Err mismatch {other:?}"),
-                }
+        let outcome = BatchExecutor::new(threads).run_detailed(&eve, &batch);
+        assert_eq!(outcome.stats.errors, injected);
+        for (i, (got, exp)) in outcome.results.iter().zip(&expected).enumerate() {
+            match (got, exp) {
+                (Ok(a), Ok(b)) => assert_eq!(a.edges(), b.edges(), "slot {i} threads {threads}"),
+                (Err(a), Err(b)) => assert_eq!(a, b),
+                other => panic!("slot {i}: Ok/Err mismatch {other:?}"),
             }
         }
     }

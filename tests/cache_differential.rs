@@ -13,7 +13,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hop_spg::eve::{BatchExecutor, CachedEve, Eve, Query, SpgCache};
+use hop_spg::eve::{BatchExecutor, CachedEve, Eve, FlightGroup, Query, SpgCache};
 use hop_spg::graph::{DiGraph, VersionedGraph};
 use hop_spg::workloads::repeat_heavy_queries;
 
@@ -76,7 +76,12 @@ fn assert_cached_matches(
     expected: &[UncachedSlot],
     threads: usize,
 ) -> Result<(), String> {
-    let outcome = BatchExecutor::new(threads).run_cached_detailed(cached, batch);
+    let outcome = BatchExecutor::new(threads).run_cached_coalesced_with_deadlines(
+        cached,
+        &FlightGroup::new(),
+        batch,
+        &[],
+    );
     prop_assert_eq!(outcome.results.len(), expected.len());
     let mut errors = 0usize;
     for (i, (got, exp)) in outcome.results.iter().zip(expected).enumerate() {
@@ -134,7 +139,7 @@ proptest! {
             assert_cached_matches(&cached, &batch, &expected, threads)?;
         }
         // A fully warm rerun is all hits and still identical.
-        let warm = BatchExecutor::new(4).run_cached_detailed(&cached, &batch);
+        let warm = BatchExecutor::new(4).run_cached_coalesced_with_deadlines(&cached, &FlightGroup::new(), &batch, &[]);
         prop_assert_eq!(warm.stats.cache_misses, 0);
         assert_cached_matches(&cached, &batch, &expected, 4)?;
     }
@@ -223,7 +228,12 @@ fn duplicate_cold_misses_in_one_batch_compute_once() {
         cache.clear();
         let before = cache.stats().insertions;
         let batch = vec![hot; 64];
-        let outcome = BatchExecutor::new(threads).run_cached_detailed(&cached, &batch);
+        let outcome = BatchExecutor::new(threads).run_cached_coalesced_with_deadlines(
+            &cached,
+            &FlightGroup::new(),
+            &batch,
+            &[],
+        );
         assert_eq!(
             cache.stats().insertions - before,
             1,

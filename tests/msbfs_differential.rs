@@ -8,8 +8,8 @@
 //! shared traversal are identical to the per-query [`FlatDistances`] engine
 //! under **all three** [`DistanceStrategy`] variants, and to the hash-map
 //! [`DistanceIndex`]. The sweep covers every lane-block width (64-, 128-
-//! and 256-lane cohorts), every [`FrontierMode`], and the α/β hysteresis /
-//! fixed-denominator [`FrontierPolicy`] variants. This is the property that
+//! and 256-lane cohorts), every [`FrontierMode`], and a spread of α/β
+//! hysteresis [`FrontierPolicy`] thresholds. This is the property that
 //! makes cohort-shared batch answers bit-identical to per-query answers.
 //!
 //! A separate executor-level test covers the widening payoff end to end: a
@@ -168,35 +168,38 @@ fn check_width<B: LaneBlock>(
 
 /// (mode, policy) configurations the width sweep exercises: every frontier
 /// mode under the default α/β hysteresis, plus the direction-optimizing
-/// mode under a sluggish hysteresis, the legacy fixed switch and an eager
-/// fixed switch.
+/// mode under a sluggish hysteresis, an eager-entry / early-exit one that
+/// flips direction often, and an eager, sticky one.
 const CONFIGS: [(FrontierMode, FrontierPolicy); 6] = [
     (
         FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Hysteresis { alpha: 2, beta: 8 },
+        FrontierPolicy { alpha: 2, beta: 8 },
     ),
     (
         FrontierMode::TopDownOnly,
-        FrontierPolicy::Hysteresis { alpha: 2, beta: 8 },
+        FrontierPolicy { alpha: 2, beta: 8 },
     ),
     (
         FrontierMode::BottomUpOnly,
-        FrontierPolicy::Hysteresis { alpha: 2, beta: 8 },
+        FrontierPolicy { alpha: 2, beta: 8 },
     ),
     (
         FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Hysteresis {
+        FrontierPolicy {
             alpha: 14,
             beta: 24,
         },
     ),
     (
         FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Fixed { denominator: 2 },
+        FrontierPolicy { alpha: 8, beta: 2 },
     ),
     (
         FrontierMode::DirectionOptimizing,
-        FrontierPolicy::Fixed { denominator: 8 },
+        FrontierPolicy {
+            alpha: 16,
+            beta: 64,
+        },
     ),
 ];
 
