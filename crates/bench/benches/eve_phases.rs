@@ -132,7 +132,7 @@ fn bench_full_pipeline(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &eve, |b, eve| {
             b.iter(|| {
                 for &q in &queries {
-                    std::hint::black_box(eve.query_reference(q).unwrap());
+                    std::hint::black_box(eve.query_detailed_reference(q).unwrap());
                 }
             })
         });

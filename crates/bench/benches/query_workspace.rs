@@ -3,7 +3,7 @@
 //! Three variants answer the same query batch:
 //!
 //! * `legacy_hashmap` — the pre-compaction hash-map pipeline
-//!   (`Eve::query_reference`), the baseline this PR's acceptance criterion
+//!   (`Eve::query_detailed_reference`), the baseline this PR's acceptance criterion
 //!   measures against;
 //! * `cold_workspace` — the flat pipeline with a fresh workspace per query
 //!   (`Eve::query`), isolating the algorithmic win from the reuse win;
@@ -57,7 +57,7 @@ fn bench_cold_vs_warm(c: &mut Criterion) {
         group.bench_function(BenchmarkId::from_parameter("legacy_hashmap"), |b| {
             b.iter(|| {
                 for &q in &queries {
-                    std::hint::black_box(eve.query_reference(q).unwrap());
+                    std::hint::black_box(eve.query_detailed_reference(q).unwrap());
                 }
             })
         });

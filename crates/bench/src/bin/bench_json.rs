@@ -6,7 +6,7 @@
 //! plus four sections per suite:
 //!
 //! * **variants** — per-query median latency of the legacy hash-map pipeline
-//!   (`query_reference`), the flat pipeline on a fresh workspace (`query`)
+//!   (`query_detailed_reference`), the flat pipeline on a fresh workspace (`query`)
 //!   and the flat pipeline on one warm workspace (`query_with`), plus
 //!   per-phase ns, edges/sec and workspace bytes (the PR-2 trajectory);
 //! * **thread_scaling** — whole-batch wall time of `BatchExecutor::run` at
@@ -66,7 +66,6 @@ use spg_core::{
     QueryWorkspace, SpgCache,
 };
 use spg_graph::generators::{gnm_random, TransactionGraph, TransactionGraphConfig};
-use spg_graph::traversal::MAX_LANES;
 use spg_graph::{DiGraph, EdgeDelta, VersionedGraph};
 use spg_workloads::{
     reachable_queries, repeat_heavy_queries, shared_endpoint_queries, skewed_queries,
@@ -367,6 +366,16 @@ fn slot_distance_ns(results: &[spg_core::BatchResult]) -> u64 {
         .sum()
 }
 
+/// Share of the planned cohorts' lanes that carry a distinct endpoint. The
+/// executor packs cohorts up to the default lane width, so that is the
+/// denominator; 0 when no cohort was planned.
+fn cohort_fill(distinct_endpoints: usize, cohorts: usize) -> f64 {
+    if cohorts == 0 {
+        return 0.0;
+    }
+    distinct_endpoints as f64 / (cohorts * LaneWidth::default().lanes()) as f64
+}
+
 /// Cohort-shared vs per-query Phase 1 over one batch shape, single worker
 /// (so the comparison isolates traversal sharing from parallelism). Every
 /// shared run is verified slot-for-slot against the per-query answers
@@ -431,11 +440,7 @@ fn phase1_bench(
         cohorts: last_stats.cohorts,
         distinct_endpoints: last_stats.distinct_endpoints,
         phase1_shared: last_stats.phase1_shared,
-        cohort_fill: if last_stats.cohorts == 0 {
-            0.0
-        } else {
-            last_stats.distinct_endpoints as f64 / (last_stats.cohorts * MAX_LANES) as f64
-        },
+        cohort_fill: cohort_fill(last_stats.distinct_endpoints, last_stats.cohorts),
         dedup_ratio: last_stats.dedup_ratio().unwrap_or(0.0),
         top_down_scans: last_stats.traversal.forward_edge_scans
             + last_stats.traversal.backward_edge_scans,
@@ -731,12 +736,12 @@ fn run_suite(name: &'static str, g: DiGraph, args: &Args, thread_counts: &[usize
     // (lazy page zeroing, branch predictors) do not skew the first samples.
     let mut ws = QueryWorkspace::new();
     for &q in &queries {
-        let _ = eve.query_reference(q).unwrap();
+        let _ = eve.query_detailed_reference(q).unwrap();
         let _ = eve.query_with(&mut ws, q).unwrap();
     }
 
     let (mut legacy, legacy_edges, _) = sample(&queries, args.repeats, |q| {
-        eve.query_reference(q).unwrap().edge_count()
+        eve.query_detailed_reference(q).unwrap().spg.edge_count()
     });
     let (mut cold, _, _) = sample(&queries, args.repeats, |q| {
         eve.query(q).unwrap().edge_count()
@@ -1185,4 +1190,16 @@ fn main() {
         args.out,
         if args.smoke { " (smoke)" } else { "" }
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cohort_fill_is_relative_to_the_default_lane_width() {
+        // 62 endpoints in one 256-lane cohort fill under a quarter of it.
+        assert_eq!(format!("{:.3}", cohort_fill(62, 1)), "0.242");
+        assert_eq!(cohort_fill(0, 0), 0.0);
+    }
 }

@@ -8,7 +8,7 @@
 //! * full EVE (adaptive + pruning + search ordering).
 //!
 //! The ablation runs on the hash-map *reference* pipeline
-//! (`Eve::query_reference`): the workspace pipeline propagates over the
+//! (`Eve::query_detailed_reference`): the workspace pipeline propagates over the
 //! compacted `G^k_st` CSR, whose space restriction structurally subsumes
 //! most of the Theorem 3.6 rule, so disabling the pruning flag there would
 //! not reproduce the paper's "Naive EVE" work profile.
@@ -73,7 +73,7 @@ fn main() {
             let mut total = Duration::ZERO;
             for &q in &queries {
                 let start = Instant::now();
-                let _ = eve.query_reference(q).expect("valid query");
+                let _ = eve.query_detailed_reference(q).expect("valid query");
                 total += start.elapsed();
             }
             row.push(fmt_ms(total));

@@ -779,34 +779,17 @@ impl<'g, 'c> CachedEve<'g, 'c> {
     /// Answers `query` through the cache on a fresh workspace.
     pub fn query(&self, query: Query) -> Result<SimplePathGraph, QueryError> {
         let mut ws = QueryWorkspace::new();
-        self.query_with(&mut ws, query)
+        self.query_with_outcome_budgeted(&mut ws, query, &QueryBudget::unlimited())
+            .map(|(spg, _)| spg)
     }
 
-    /// Answers `query` through the cache on a reusable workspace: validate,
+    /// Answers `query` through the cache on a reusable workspace under a
+    /// caller-supplied [`QueryBudget`], reporting whether the answer was a
+    /// [`CacheOutcome::Hit`] or a computed [`CacheOutcome::Miss`]: validate,
     /// clamp, look up; on a miss run the pipeline and publish. Invalid
     /// queries error exactly as [`Eve::query_with`] and never touch the
-    /// cache.
-    pub fn query_with(
-        &self,
-        ws: &mut QueryWorkspace,
-        query: Query,
-    ) -> Result<SimplePathGraph, QueryError> {
-        self.query_with_outcome(ws, query).map(|(spg, _)| spg)
-    }
-
-    /// [`CachedEve::query_with`] additionally reporting whether the answer
-    /// was a [`CacheOutcome::Hit`] or a computed [`CacheOutcome::Miss`].
-    pub fn query_with_outcome(
-        &self,
-        ws: &mut QueryWorkspace,
-        query: Query,
-    ) -> Result<(SimplePathGraph, CacheOutcome), QueryError> {
-        self.query_with_outcome_budgeted(ws, query, &QueryBudget::unlimited())
-    }
-
-    /// [`CachedEve::query_with_outcome`] under a caller-supplied
-    /// [`QueryBudget`]. A hit costs nothing; a miss runs the pipeline
-    /// cooperatively and a budget abort publishes nothing to the cache.
+    /// cache. A hit costs nothing; a miss runs the pipeline cooperatively
+    /// and a budget abort publishes nothing to the cache.
     pub fn query_with_outcome_budgeted(
         &self,
         ws: &mut QueryWorkspace,
@@ -826,14 +809,19 @@ impl<'g, 'c> CachedEve<'g, 'c> {
     }
 
     /// Answers a whole batch sequentially through the cache on one reused
-    /// workspace, one [`CachedEve::query_with`] per slot. Slots are
-    /// bit-identical to the uncached entry points; see
-    /// [`crate::BatchExecutor::run_cached`] for the parallel version.
+    /// workspace, one [`CachedEve::query_with_outcome_budgeted`] per slot
+    /// with an unlimited budget. Slots are bit-identical to the uncached
+    /// entry points; see [`crate::BatchExecutor::run_cached`] for the
+    /// parallel version.
     pub fn query_batch(&self, queries: &[Query]) -> Vec<Result<SimplePathGraph, QueryError>> {
         let mut ws = QueryWorkspace::new();
+        let budget = QueryBudget::unlimited();
         queries
             .iter()
-            .map(|&q| self.query_with(&mut ws, q))
+            .map(|&q| {
+                self.query_with_outcome_budgeted(&mut ws, q, &budget)
+                    .map(|(spg, _)| spg)
+            })
             .collect()
     }
 }
@@ -967,11 +955,16 @@ mod tests {
         let cached = CachedEve::with_defaults(&vg, &cache);
         let uncached = Eve::with_defaults(vg.graph());
         let mut ws = QueryWorkspace::new();
+        let unlimited = QueryBudget::unlimited();
 
         // k runs to n − 1 = 7 only: k = 8 would clamp onto the k = 7 key.
         for k in 1..=7u32 {
-            let (first, o1) = cached.query_with_outcome(&mut ws, q(S, T, k)).unwrap();
-            let (second, o2) = cached.query_with_outcome(&mut ws, q(S, T, k)).unwrap();
+            let (first, o1) = cached
+                .query_with_outcome_budgeted(&mut ws, q(S, T, k), &unlimited)
+                .unwrap();
+            let (second, o2) = cached
+                .query_with_outcome_budgeted(&mut ws, q(S, T, k), &unlimited)
+                .unwrap();
             assert_eq!(o1, CacheOutcome::Miss);
             assert_eq!(o2, CacheOutcome::Hit);
             let reference = uncached.query(q(S, T, k)).unwrap();
@@ -983,7 +976,9 @@ mod tests {
             );
         }
         // k = 8 clamps to 7 and is served by the k = 7 entry immediately.
-        let (_, alias) = cached.query_with_outcome(&mut ws, q(S, T, 8)).unwrap();
+        let (_, alias) = cached
+            .query_with_outcome_budgeted(&mut ws, q(S, T, 8), &unlimited)
+            .unwrap();
         assert_eq!(alias, CacheOutcome::Hit);
         assert_eq!(cached.version(), vg.version());
         assert_eq!(cached.eve().graph().edge_count(), 13);

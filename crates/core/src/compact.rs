@@ -1185,17 +1185,20 @@ mod tests {
     use crate::paper_example::{self, names::*};
     use crate::propagation::Propagation;
     use crate::query::Query;
-    use spg_graph::{DiGraph, DistanceIndex, DistanceStrategy};
+    use spg_graph::{DiGraph, DistanceIndex, DistanceStrategy, FlatDistances, SpaceScratch};
 
     fn space_for(g: &DiGraph, q: Query) -> SearchSpace {
-        let idx = DistanceIndex::compute(
+        let mut fd = FlatDistances::new();
+        fd.compute(
             g,
             q.source,
             q.target,
             q.k,
             DistanceStrategy::AdaptiveBidirectional,
         );
-        SearchSpace::build(g, &idx)
+        let mut space = SearchSpace::new();
+        space.rebuild_from_flat(g, &fd, &mut SpaceScratch::new());
+        space
     }
 
     /// The flat propagation must agree with the reference propagation on
@@ -1206,7 +1209,7 @@ mod tests {
         for k in 2..=8u32 {
             let q = Query::new(S, T, k);
             let idx = DistanceIndex::compute(&g, S, T, k, DistanceStrategy::AdaptiveBidirectional);
-            let space = SearchSpace::build(&g, &idx);
+            let space = space_for(&g, q);
             let reference = Propagation::forward(&g, q, &idx, true);
             let mut flat = FlatPropagation::default();
             flat.run(&space, Direction::Forward, true);

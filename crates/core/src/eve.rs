@@ -43,8 +43,8 @@ pub struct EveConfig {
     /// whose space restriction structurally subsumes most of the rule —
     /// there this flag only toggles the residual per-level check. Ablation
     /// harnesses that want the paper's full "Naive EVE" work profile
-    /// (Figure 11) should measure [`Eve::query_reference`], which honours
-    /// the flag over the whole graph.
+    /// (Figure 11) should measure [`Eve::query_detailed_reference`], which
+    /// honours the flag over the whole graph.
     pub forward_looking_pruning: bool,
     /// Enable the §5.3 search-ordering strategy before verification.
     pub search_ordering: bool,
@@ -240,16 +240,11 @@ impl<'g> Eve<'g> {
         self.run_flat_pipeline(ws, query, DistInput::Reuse, budget)
     }
 
-    /// Answers a query, additionally returning the upper-bound graph
-    /// `SPGᵘ_k(s, t)` computed on the way (Table 3 / §6.6).
-    pub fn query_detailed(&self, query: Query) -> Result<EveOutput, QueryError> {
-        let mut ws = QueryWorkspace::new();
-        self.query_detailed_with(&mut ws, query)
-    }
-
-    /// [`Eve::query_detailed`] on a reusable workspace: the compacted-search-
-    /// space pipeline (phase 1 additionally emits the dense [`spg_graph::SearchSpace`];
-    /// phases 1b–3 run entirely on flat local-id arrays).
+    /// Answers a query on a reusable workspace, additionally returning the
+    /// upper-bound graph `SPGᵘ_k(s, t)` computed on the way (Table 3 /
+    /// §6.6). Runs the same compacted-search-space pipeline as
+    /// [`Eve::query_with`] and then materialises the `SPGᵘ_k` edges the
+    /// workspace still holds.
     pub fn query_detailed_with(
         &self,
         ws: &mut QueryWorkspace,
@@ -264,23 +259,29 @@ impl<'g> Eve<'g> {
         )?;
         // The workspace still holds the phase-2 output; only the detailed
         // entry point pays for materialising it (`query_with` does not).
-        let upper_bound = Self::upper_bound_subgraph(ws);
+        let upper_bound = EdgeSubgraph::from_edges(
+            ws.ub
+                .edges()
+                .iter()
+                .map(|&(u, v)| (ws.space.global(u), ws.space.global(v))),
+        );
         Ok(EveOutput { spg, upper_bound })
     }
 
-    /// Phases 1a–2 on the workspace: distance search, space compaction,
-    /// both propagations and edge labeling. Shared by the query and
-    /// upper-bound entry points; phase timings/memory are recorded when the
-    /// caller provides accumulators.
-    fn run_phases_1_2(
+    /// Phases 1a–3 on the workspace: distance search, space compaction,
+    /// both propagations, edge labeling and verification, assembling the
+    /// answer (but not the upper-bound subgraph). The query must already be
+    /// validated.
+    fn run_flat_pipeline(
         &self,
         ws: &mut QueryWorkspace,
         query: Query,
-        timings: &mut PhaseTimings,
-        memory: &mut MemoryEstimate,
         input: DistInput<'_>,
         budget: &QueryBudget,
-    ) -> Result<(), QueryError> {
+    ) -> Result<SimplePathGraph, QueryError> {
+        let mut timings = PhaseTimings::default();
+        let mut memory = MemoryEstimate::default();
+
         // Phase 1a: raw distances (computed per query, materialised from a
         // cohort's shared MS-BFS lane, or reused verbatim from the previous
         // identical member) + compacted search space.
@@ -342,21 +343,6 @@ impl<'g> Eve<'g> {
         ws.ub.build_budgeted(&ws.space, &ws.fwd, &ws.bwd, budget)?;
         timings.labeling = start.elapsed();
         memory.upper_bound_bytes = ws.ub.memory_bytes();
-        Ok(())
-    }
-
-    /// Phases 1a–3 on the workspace, assembling the answer (but not the
-    /// upper-bound subgraph). The query must already be validated.
-    fn run_flat_pipeline(
-        &self,
-        ws: &mut QueryWorkspace,
-        query: Query,
-        input: DistInput<'_>,
-        budget: &QueryBudget,
-    ) -> Result<SimplePathGraph, QueryError> {
-        let mut timings = PhaseTimings::default();
-        let mut memory = MemoryEstimate::default();
-        self.run_phases_1_2(ws, query, &mut timings, &mut memory, input, budget)?;
 
         // Phase 3: verification of undetermined edges.
         let start = Instant::now(); // spg-analyze: allow(hot-loop) — phase-boundary timer (Phase 3 entry)
@@ -396,53 +382,11 @@ impl<'g> Eve<'g> {
         )
     }
 
-    /// Materialises the `SPGᵘ_k` edges currently held by the workspace.
-    fn upper_bound_subgraph(ws: &QueryWorkspace) -> EdgeSubgraph {
-        EdgeSubgraph::from_edges(
-            ws.ub
-                .edges()
-                .iter()
-                .map(|&(u, v)| (ws.space.global(u), ws.space.global(v))),
-        )
-    }
-
-    /// Computes only the upper-bound graph `SPGᵘ_k(s, t)` (phases 1 and 2),
-    /// skipping verification. Useful as a fast approximate answer: by
-    /// Theorem 4.8 it is exact whenever `k ≤ 4`, and Table 3 shows it carries
-    /// well under 0.05% redundant edges on most graphs.
-    pub fn upper_bound(&self, query: Query) -> Result<EdgeSubgraph, QueryError> {
-        let mut ws = QueryWorkspace::new();
-        self.upper_bound_with(&mut ws, query)
-    }
-
-    /// [`Eve::upper_bound`] on a reusable workspace.
-    pub fn upper_bound_with(
-        &self,
-        ws: &mut QueryWorkspace,
-        query: Query,
-    ) -> Result<EdgeSubgraph, QueryError> {
-        query.validate(self.graph)?;
-        self.run_phases_1_2(
-            ws,
-            query.clamped_to(self.graph),
-            &mut PhaseTimings::default(),
-            &mut MemoryEstimate::default(),
-            DistInput::Compute,
-            &QueryBudget::unlimited(),
-        )?;
-        Ok(Self::upper_bound_subgraph(ws))
-    }
-
-    /// Answers a query with the hash-map reference pipeline (the pre-
-    /// compaction implementation). Retained for differential testing and as
-    /// the baseline the `query_workspace` benchmark compares against; the
+    /// [`Eve::query_detailed_with`] via the hash-map reference pipeline
+    /// ([`Propagation`], [`UpperBoundGraph`], [`verify_undetermined`]) — the
+    /// pre-compaction implementation. Retained for differential testing and
+    /// as the baseline the `query_workspace` benchmark compares against; the
     /// answer is always identical to [`Eve::query`].
-    pub fn query_reference(&self, query: Query) -> Result<SimplePathGraph, QueryError> {
-        Ok(self.query_detailed_reference(query)?.spg)
-    }
-
-    /// [`Eve::query_detailed`] via the hash-map reference pipeline
-    /// ([`Propagation`], [`UpperBoundGraph`], [`verify_undetermined`]).
     pub fn query_detailed_reference(&self, query: Query) -> Result<EveOutput, QueryError> {
         query.validate(self.graph)?;
         let query = query.clamped_to(self.graph);
@@ -535,7 +479,9 @@ mod tests {
     fn k7_answer_excludes_ba_and_bj() {
         let g = paper_example::figure1_graph();
         let eve = Eve::with_defaults(&g);
-        let out = eve.query_detailed(Query::new(S, T, 7)).unwrap();
+        let out = eve
+            .query_detailed_with(&mut QueryWorkspace::new(), Query::new(S, T, 7))
+            .unwrap();
         assert_eq!(out.spg.edge_count(), 11);
         assert!(!out.spg.contains_edge(B, A));
         assert!(!out.spg.contains_edge(B, J));
@@ -605,19 +551,6 @@ mod tests {
         assert_eq!(spg.edges(), &[(S, C), (C, T)]);
     }
 
-    #[test]
-    fn upper_bound_shortcut_matches_detailed_output() {
-        let g = paper_example::figure1_graph();
-        let eve = Eve::with_defaults(&g);
-        for k in 2..=8u32 {
-            let ub = eve.upper_bound(Query::new(S, T, k)).unwrap();
-            let detailed = eve.query_detailed(Query::new(S, T, k)).unwrap();
-            assert_eq!(ub, detailed.upper_bound, "k = {k}");
-            // Upper bound must contain the exact answer.
-            assert!(detailed.spg.as_subgraph().is_subgraph_of(&ub));
-        }
-    }
-
     /// The flat workspace pipeline and the hash-map reference pipeline must
     /// produce identical answers and upper bounds under every configuration.
     #[test]
@@ -664,8 +597,8 @@ mod tests {
         let eve = Eve::with_defaults(&g);
         for k in 1..=8u32 {
             let compact = eve.query(Query::new(S, T, k)).unwrap();
-            let reference = eve.query_reference(Query::new(S, T, k)).unwrap();
-            assert_eq!(compact.edges(), reference.edges(), "k={k}");
+            let reference = eve.query_detailed_reference(Query::new(S, T, k)).unwrap();
+            assert_eq!(compact.edges(), reference.spg.edges(), "k={k}");
         }
     }
 
@@ -680,7 +613,10 @@ mod tests {
         let eve = Eve::with_defaults(&g);
         let start = Instant::now();
         let huge = eve.query(Query::new(0, 9, u32::MAX)).unwrap();
-        let reference = eve.query_reference(Query::new(0, 9, u32::MAX)).unwrap();
+        let reference = eve
+            .query_detailed_reference(Query::new(0, 9, u32::MAX))
+            .unwrap()
+            .spg;
         let clamped = eve.query(Query::new(0, 9, 9)).unwrap();
         assert_eq!(huge.edges(), clamped.edges());
         assert_eq!(reference.edges(), clamped.edges());
@@ -690,15 +626,16 @@ mod tests {
             "huge-k queries must terminate promptly"
         );
 
-        // The detailed and upper-bound entry points clamp identically.
+        // The detailed entry point clamps identically, upper bound included.
         let mut ws = QueryWorkspace::new();
         let detailed = eve
             .query_detailed_with(&mut ws, Query::new(0, 9, u32::MAX))
             .unwrap();
         assert_eq!(detailed.spg.edges(), clamped.edges());
-        let ub_huge = eve.upper_bound(Query::new(0, 9, u32::MAX)).unwrap();
-        let ub_clamped = eve.upper_bound(Query::new(0, 9, 9)).unwrap();
-        assert_eq!(ub_huge, ub_clamped);
+        let detailed_clamped = eve
+            .query_detailed_with(&mut ws, Query::new(0, 9, 9))
+            .unwrap();
+        assert_eq!(detailed.upper_bound, detailed_clamped.upper_bound);
 
         // The paper's example graph agrees between huge and exact clamp too.
         let fig = paper_example::figure1_graph();

@@ -52,8 +52,8 @@ pub use properties::DegreeStats;
 pub use subgraph::EdgeSubgraph;
 pub use traversal::{
     bfs_distances_from, bfs_distances_to, k_hop_reachable, DistanceIndex, DistanceStrategy,
-    FlatDistances, FrontierMode, FrontierPolicy, LaneBlock, Lanes128, Lanes256, Lanes64,
-    MsBfsEngine, MsBfsLane, MsBfsStats, SearchSpace, SearchSpaceStats, SpaceScratch,
+    FlatDistances, FrontierPolicy, LaneBlock, Lanes128, Lanes256, Lanes64, MsBfsEngine, MsBfsLane,
+    MsBfsStats, SearchSpace, SearchSpaceStats, SpaceScratch,
 };
 pub use versioned::{GraphVersion, VersionedGraph};
 

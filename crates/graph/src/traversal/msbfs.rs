@@ -69,11 +69,6 @@ use crate::budget::{BudgetExhausted, QueryBudget};
 use crate::csr::{DiGraph, Direction, VertexId};
 use crate::traversal::SearchSpaceStats;
 
-/// Lanes carried by a single `u64` word — the capacity of the default
-/// [`Lanes64`] block. Wider blocks hold `WORDS × 64` lanes
-/// ([`LaneBlock::LANES`]).
-pub const MAX_LANES: usize = 64;
-
 /// A fixed-size block of `u64` lane words — the unit of bit-parallelism of
 /// [`MsBfsEngine`]. Bit *i* (word `i / 64`, bit `i % 64`) belongs to lane
 /// *i*. Implemented for every `[u64; W]` via const generics; the supported
@@ -221,26 +216,10 @@ impl MsBfsLane {
     }
 }
 
-/// Per-level expansion policy of the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FrontierMode {
-    /// Choose top-down or bottom-up per level via the engine's
-    /// [`FrontierPolicy`] (the default, and what production cohorts use).
-    #[default]
-    DirectionOptimizing,
-    /// Always relax frontier adjacency (classic BFS); the baseline the
-    /// `batch_phase1` benchmark compares against.
-    TopDownOnly,
-    /// Always gather from reverse adjacency (for tests and worst-case
-    /// measurements; correct but wasteful on sparse frontiers).
-    BottomUpOnly,
-}
-
-/// How [`FrontierMode::DirectionOptimizing`] decides top-down vs bottom-up
-/// per level: Beamer-style α/β hysteresis with direction state per
-/// traversal phase. A top-down level switches to bottom-up when the
-/// frontier's incident edges exceed `edge_count / alpha`; bottom-up
-/// persists — skipping the per-level degree scan entirely — until the
+/// How the engine decides top-down vs bottom-up per level: Beamer-style α/β
+/// hysteresis with direction state per traversal phase. A top-down level
+/// switches to bottom-up when the frontier's incident edges exceed
+/// `edge_count / alpha`; bottom-up persists — skipping the per-level degree scan entirely — until the
 /// frontier shrinks below `vertex_count / beta` vertices. The defaults
 /// (α = [`FrontierPolicy::DEFAULT_ALPHA`], β = [`FrontierPolicy::DEFAULT_BETA`])
 /// keep a deliberately high entry bar — a multi-lane bottom-up gather only
@@ -248,7 +227,10 @@ pub enum FrontierMode {
 /// later than in single-source BFS — while the β exit lets a collapsing
 /// frontier return to top-down instead of re-scanning all vertices level
 /// after level. Answers never depend on the thresholds — only the work
-/// profile does — so differential tests sweep them freely.
+/// profile does — so differential tests sweep them freely, including the
+/// extremes: `alpha = 0` never enters bottom-up (pure top-down), and
+/// `alpha = beta = u32::MAX` enters on any frontier with an incident edge
+/// and never exits (bottom-up wherever a level has anything to scan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FrontierPolicy {
     /// Bottom-up entry: switch when `frontier_edges × alpha > edges`.
@@ -483,23 +465,18 @@ impl<B: LaneBlock> Side<B> {
         dir: Direction,
         level_mask: B,
         restrict: Option<&[B]>,
-        mode: FrontierMode,
         policy: FrontierPolicy,
     ) -> bool {
-        let bottom_up = match mode {
-            FrontierMode::TopDownOnly => false,
-            FrontierMode::BottomUpOnly => true,
-            FrontierMode::DirectionOptimizing => {
-                if self.bottom_up_active {
-                    // β exit: stay bottom-up until the frontier thins out;
-                    // only its vertex count is consulted, so the per-level
-                    // degree scan is skipped entirely.
-                    self.frontier.len() * policy.beta as usize >= g.vertex_count().max(1)
-                } else {
-                    // α entry: a dense frontier justifies gathering.
-                    self.frontier_edges(g, dir) * policy.alpha as usize > g.edge_count().max(1)
-                }
-            }
+        let bottom_up = if self.bottom_up_active {
+            // β exit: stay bottom-up until the frontier thins out; only its
+            // vertex count is consulted, so the per-level degree scan is
+            // skipped entirely.
+            self.frontier.len().saturating_mul(policy.beta as usize) >= g.vertex_count().max(1)
+        } else {
+            // α entry: a dense frontier justifies gathering.
+            self.frontier_edges(g, dir)
+                .saturating_mul(policy.alpha as usize)
+                > g.edge_count().max(1)
         };
         self.bottom_up_active = bottom_up;
         if bottom_up {
@@ -707,7 +684,6 @@ pub struct MsBfsEngine<B: LaneBlock = Lanes64> {
     halves_fwd: Vec<u32>,
     /// `half_bwd` per lane.
     halves_bwd: Vec<u32>,
-    mode: FrontierMode,
     policy: FrontierPolicy,
     lane_count: usize,
 }
@@ -719,7 +695,6 @@ impl<B: LaneBlock> Default for MsBfsEngine<B> {
             bwd: Side::default(),
             halves_fwd: Vec::new(),
             halves_bwd: Vec::new(),
-            mode: FrontierMode::default(),
             policy: FrontierPolicy::default(),
             lane_count: 0,
         }
@@ -737,18 +712,7 @@ impl<B: LaneBlock> MsBfsEngine<B> {
         B::LANES
     }
 
-    /// Sets the per-level expansion policy for subsequent runs.
-    pub fn set_mode(&mut self, mode: FrontierMode) {
-        self.mode = mode;
-    }
-
-    /// The current expansion policy.
-    pub fn mode(&self) -> FrontierMode {
-        self.mode
-    }
-
-    /// Sets the direction-switch policy used by
-    /// [`FrontierMode::DirectionOptimizing`] for subsequent runs.
+    /// Sets the direction-switch policy for subsequent runs.
     pub fn set_policy(&mut self, policy: FrontierPolicy) {
         self.policy = policy;
     }
@@ -824,7 +788,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
         self.fwd.record_free_level();
         self.bwd.record_free_level();
 
-        let mode = self.mode;
         let policy = self.policy;
         // Free phases: each side expands to its per-lane half-depth.
         let mut outcome = Self::free_phase(
@@ -832,7 +795,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
             g,
             Direction::Forward,
             &self.halves_fwd,
-            mode,
             policy,
             budget,
         );
@@ -842,7 +804,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
                 g,
                 Direction::Backward,
                 &self.halves_bwd,
-                mode,
                 policy,
                 budget,
             );
@@ -860,7 +821,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
                 lanes,
                 &self.halves_fwd,
                 &self.bwd.seen,
-                mode,
                 policy,
                 budget,
             );
@@ -873,7 +833,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
                 lanes,
                 &self.halves_bwd,
                 &self.fwd.seen,
-                mode,
                 policy,
                 budget,
             );
@@ -906,13 +865,11 @@ impl<B: LaneBlock> MsBfsEngine<B> {
     /// seed level is recorded by the caller (see `run_budgeted`); the budget
     /// is polled only at level boundaries, where every set bit is covered
     /// by a record and an abort can restore the all-zero invariant.
-    #[allow(clippy::too_many_arguments)]
     fn free_phase(
         side: &mut Side<B>,
         g: &DiGraph,
         dir: Direction,
         halves: &[u32],
-        mode: FrontierMode,
         policy: FrontierPolicy,
         budget: &QueryBudget,
     ) -> Result<(), BudgetExhausted> {
@@ -931,7 +888,7 @@ impl<B: LaneBlock> MsBfsEngine<B> {
             if !level_mask.any() {
                 break;
             }
-            if !side.step(g, dir, level_mask, None, mode, policy) {
+            if !side.step(g, dir, level_mask, None, policy) {
                 side.advance();
                 break;
             }
@@ -954,7 +911,6 @@ impl<B: LaneBlock> MsBfsEngine<B> {
         lanes: &[MsBfsLane],
         halves: &[u32],
         other_seen: &[B],
-        mode: FrontierMode,
         policy: FrontierPolicy,
         budget: &QueryBudget,
     ) -> Result<(), BudgetExhausted> {
@@ -977,7 +933,7 @@ impl<B: LaneBlock> MsBfsEngine<B> {
             if !level_mask.any() {
                 break;
             }
-            let discovered = side.step(g, dir, level_mask, Some(other_seen), mode, policy);
+            let discovered = side.step(g, dir, level_mask, Some(other_seen), policy);
             side.advance();
             if !discovered {
                 break;
@@ -1256,9 +1212,22 @@ mod tests {
         }
     }
 
-    /// All frontier modes and direction-switch policies produce identical
-    /// per-lane distances; the forced modes actually exercise their
-    /// expansion kind.
+    /// `alpha = 0`: the α entry test never passes, so every level runs
+    /// top-down.
+    const TOP_DOWN_ONLY: FrontierPolicy = FrontierPolicy {
+        alpha: 0,
+        beta: FrontierPolicy::DEFAULT_BETA,
+    };
+
+    /// `alpha = beta = u32::MAX`: any frontier with an incident edge enters
+    /// bottom-up and no non-empty frontier exits it.
+    const BOTTOM_UP_ONLY: FrontierPolicy = FrontierPolicy {
+        alpha: u32::MAX,
+        beta: u32::MAX,
+    };
+
+    /// All direction-switch policies produce identical per-lane distances;
+    /// the two forcing extremes actually exercise their expansion kind.
     #[test]
     fn frontier_modes_agree_and_are_observable() {
         let g = crate::generators::gnm_random(60, 600, 42);
@@ -1270,11 +1239,18 @@ mod tests {
             })
             .collect();
         let mut reference: Option<Vec<Vec<u32>>> = None;
-        let mut check = |mode: FrontierMode, policy: FrontierPolicy| {
+        for policy in [
+            TOP_DOWN_ONLY,
+            BOTTOM_UP_ONLY,
+            FrontierPolicy::default(),
+            FrontierPolicy { alpha: 1, beta: 4 },
+            FrontierPolicy {
+                alpha: 14,
+                beta: 24,
+            },
+        ] {
             let mut engine = MsBfsEngine::<Lanes64>::new();
-            engine.set_mode(mode);
             engine.set_policy(policy);
-            assert_eq!(engine.mode(), mode);
             assert_eq!(engine.policy(), policy);
             engine.run(&g, &lanes);
             let dists: Vec<Vec<u32>> = (0..lanes.len())
@@ -1287,25 +1263,23 @@ mod tests {
                 .collect();
             match &reference {
                 None => reference = Some(dists),
-                Some(r) => assert_eq!(r, &dists, "{mode:?} / {policy:?} diverged"),
+                Some(r) => assert_eq!(r, &dists, "{policy:?} diverged"),
             }
             let fwd = engine.side_stats(Direction::Forward);
             let bwd = engine.side_stats(Direction::Backward);
-            match mode {
-                FrontierMode::TopDownOnly => {
-                    assert_eq!(fwd.bottom_up_levels + bwd.bottom_up_levels, 0);
-                    assert!(fwd.top_down_edge_scans > 0);
-                }
-                FrontierMode::BottomUpOnly => {
-                    assert_eq!(fwd.top_down_levels + bwd.top_down_levels, 0);
-                    assert!(fwd.bottom_up_edge_scans > 0);
-                }
-                FrontierMode::DirectionOptimizing => {
-                    assert_eq!(
-                        fwd.total_edge_scans(),
-                        fwd.top_down_edge_scans + fwd.bottom_up_edge_scans
-                    );
-                }
+            if policy == TOP_DOWN_ONLY {
+                assert_eq!(fwd.bottom_up_levels + bwd.bottom_up_levels, 0);
+                assert!(fwd.top_down_edge_scans > 0);
+            } else if policy == BOTTOM_UP_ONLY {
+                // A frontier with no incident edge fails the α entry test
+                // and takes a top-down level, which scans nothing.
+                assert_eq!(fwd.top_down_edge_scans + bwd.top_down_edge_scans, 0);
+                assert!(fwd.bottom_up_edge_scans > 0);
+            } else {
+                assert_eq!(
+                    fwd.total_edge_scans(),
+                    fwd.top_down_edge_scans + fwd.bottom_up_edge_scans
+                );
             }
             let mut acc = SearchSpaceStats::default();
             fwd.accumulate_into(&mut acc, Direction::Forward);
@@ -1314,22 +1288,6 @@ mod tests {
                 acc.total_edge_scans(),
                 fwd.total_edge_scans() + bwd.total_edge_scans()
             );
-        };
-        for mode in [
-            FrontierMode::TopDownOnly,
-            FrontierMode::BottomUpOnly,
-            FrontierMode::DirectionOptimizing,
-        ] {
-            for policy in [
-                FrontierPolicy::default(),
-                FrontierPolicy { alpha: 1, beta: 4 },
-                FrontierPolicy {
-                    alpha: 14,
-                    beta: 24,
-                },
-            ] {
-                check(mode, policy);
-            }
         }
     }
 
@@ -1339,7 +1297,7 @@ mod tests {
     fn engine_reuse_is_clean() {
         let g = figure1();
         let mut engine = MsBfsEngine::<Lanes64>::new();
-        let all_lanes: Vec<MsBfsLane> = (0..MAX_LANES)
+        let all_lanes: Vec<MsBfsLane> = (0..Lanes64::LANES)
             .map(|i| MsBfsLane {
                 source: (i % 8) as VertexId,
                 target: ((i % 8) + 1) as VertexId % 8,
@@ -1347,7 +1305,7 @@ mod tests {
             })
             .collect();
         engine.run(&g, &all_lanes);
-        assert_eq!(engine.lane_count(), MAX_LANES);
+        assert_eq!(engine.lane_count(), Lanes64::LANES);
         let big_retained = engine.retained_bytes();
 
         let mut fresh = MsBfsEngine::<Lanes64>::new();
@@ -1383,7 +1341,10 @@ mod tests {
             })
             .filter(|lane| lane.source != lane.target)
             .collect();
-        assert!(lanes.len() > MAX_LANES, "the point is exceeding one word");
+        assert!(
+            lanes.len() > Lanes64::LANES,
+            "the point is exceeding one word"
+        );
         let mut wide = MsBfsEngine::<Lanes256>::new();
         wide.run(&g, &lanes);
         let mut narrow = MsBfsEngine::<Lanes64>::new();

@@ -1,14 +1,15 @@
 //! Dense compaction of the per-query search space `G^k_st`.
 //!
-//! The [`DistanceIndex`] identifies the search space sparsely — hash maps
-//! from global vertex ids to distances. Every downstream EVE phase
-//! (propagation, edge labeling, verification) then used to probe those hash
-//! maps once per adjacency entry, which dominates the constant factor of the
-//! whole pipeline. [`SearchSpace`] removes that cost: the space vertices are
+//! [`FlatDistances`] identifies the search space over the whole graph —
+//! epoch-stamped distance arrays indexed by global vertex id. Every
+//! downstream EVE phase (propagation, edge labeling, verification) walks
+//! only `G^k_st`, so probing the host graph's adjacency and filtering each
+//! entry by distance would dominate the constant factor of the whole
+//! pipeline. [`SearchSpace`] removes that cost: the space vertices are
 //! relabeled to dense **local ids** `0..n'` (in ascending global-id order, so
 //! local order and global order coincide) and both adjacency directions of
 //! `G^k_st` are re-materialised as local-id CSR slices. Downstream phases
-//! index flat `Vec`s by local id; no hash map is touched after construction.
+//! index flat `Vec`s by local id and never touch the host graph again.
 //!
 //! Construction itself is a linear scan over the adjacency of the space
 //! vertices. The global→local translation uses [`SpaceScratch`], an
@@ -17,7 +18,7 @@
 //! entry in O(1).
 
 use crate::csr::{DiGraph, Direction, VertexId};
-use crate::traversal::{DistanceIndex, FlatDistances};
+use crate::traversal::FlatDistances;
 
 /// Sentinel local id meaning "not in the search space".
 pub const NO_LOCAL: u32 = u32::MAX;
@@ -81,11 +82,12 @@ impl SpaceScratch {
 ///
 /// An edge `(u, v)` of the host graph is kept iff
 /// `Δ(s,u) + 1 + Δ(v,t) ≤ k` — exactly the edges
-/// [`DistanceIndex::edge_in_space`] accepts, i.e. the edge set of `G^k_st`.
+/// [`DistanceIndex::edge_in_space`](crate::traversal::DistanceIndex::edge_in_space)
+/// accepts, i.e. the edge set of `G^k_st`.
 ///
-/// The structure is a reusable container: [`SearchSpace::rebuild`] refills it
-/// for a new query while retaining every buffer's capacity, so a warmed-up
-/// instance performs no heap allocation.
+/// The structure is a reusable container: [`SearchSpace::rebuild_from_flat`]
+/// refills it for a new query while retaining every buffer's capacity, so a
+/// warmed-up instance performs no heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SearchSpace {
     k: u32,
@@ -109,37 +111,9 @@ impl SearchSpace {
         SearchSpace::default()
     }
 
-    /// One-shot convenience constructor (allocates a fresh scratch table).
-    pub fn build(g: &DiGraph, index: &DistanceIndex) -> SearchSpace {
-        let mut space = SearchSpace::new();
-        let mut scratch = SpaceScratch::new();
-        space.rebuild(g, index, &mut scratch);
-        space
-    }
-
-    /// Refills the container with the search space of `index`, reusing all
-    /// buffer capacity from previous queries.
-    pub fn rebuild(&mut self, g: &DiGraph, index: &DistanceIndex, scratch: &mut SpaceScratch) {
-        self.reset(index.hop_constraint());
-        if !index.is_feasible() {
-            self.finish_empty();
-            return;
-        }
-        self.verts.extend(index.space_vertices());
-        self.verts.sort_unstable();
-        self.rebuild_inner(
-            g,
-            scratch,
-            index.source(),
-            index.target(),
-            |v| index.dist_from_s(v),
-            |v| index.dist_to_t(v),
-        );
-    }
-
-    /// Like [`SearchSpace::rebuild`], but sourced from the epoch-stamped
-    /// [`FlatDistances`] engine — the hot path used by the reusable query
-    /// workspace, which never touches a hash map.
+    /// Refills the container with the search space identified by the
+    /// epoch-stamped [`FlatDistances`] engine, reusing all buffer capacity
+    /// from previous queries (no hash map is touched).
     pub fn rebuild_from_flat(
         &mut self,
         g: &DiGraph,
@@ -158,54 +132,13 @@ impl SearchSpace {
                 .filter(|&v| fd.in_search_space(v)),
         );
         self.verts.sort_unstable();
-        self.rebuild_inner(
-            g,
-            scratch,
-            fd.source(),
-            fd.target(),
-            |v| fd.dist_from_s(v),
-            |v| fd.dist_to_t(v),
-        );
-    }
 
-    fn reset(&mut self, k: u32) {
-        self.k = k;
-        self.verts.clear();
-        self.dist_s.clear();
-        self.dist_t.clear();
-        self.out_offsets.clear();
-        self.out_targets.clear();
-        self.in_offsets.clear();
-        self.in_sources.clear();
-        self.s_local = NO_LOCAL;
-        self.t_local = NO_LOCAL;
-    }
-
-    fn finish_empty(&mut self) {
-        self.out_offsets.push(0);
-        self.in_offsets.push(0);
-    }
-
-    /// Shared tail of the rebuild paths: `self.verts` holds the sorted space
-    /// vertices; fills the distance arrays, endpoint locals and both CSR
-    /// directions.
-    fn rebuild_inner<Fs, Ft>(
-        &mut self,
-        g: &DiGraph,
-        scratch: &mut SpaceScratch,
-        s: VertexId,
-        t: VertexId,
-        dist_s: Fs,
-        dist_t: Ft,
-    ) where
-        Fs: Fn(VertexId) -> u32,
-        Ft: Fn(VertexId) -> u32,
-    {
+        let (s, t) = (fd.source(), fd.target());
         scratch.begin(g.vertex_count());
         for (local, &v) in self.verts.iter().enumerate() {
             scratch.set(v, local as u32);
-            self.dist_s.push(dist_s(v));
-            self.dist_t.push(dist_t(v));
+            self.dist_s.push(fd.dist_from_s(v));
+            self.dist_t.push(fd.dist_to_t(v));
             if v == s {
                 self.s_local = local as u32;
             } else if v == t {
@@ -248,6 +181,24 @@ impl SearchSpace {
             self.in_offsets.push(self.in_sources.len() as u32);
         }
         debug_assert_eq!(self.out_targets.len(), self.in_sources.len());
+    }
+
+    fn reset(&mut self, k: u32) {
+        self.k = k;
+        self.verts.clear();
+        self.dist_s.clear();
+        self.dist_t.clear();
+        self.out_offsets.clear();
+        self.out_targets.clear();
+        self.in_offsets.clear();
+        self.in_sources.clear();
+        self.s_local = NO_LOCAL;
+        self.t_local = NO_LOCAL;
+    }
+
+    fn finish_empty(&mut self) {
+        self.out_offsets.push(0);
+        self.in_offsets.push(0);
     }
 
     /// Hop constraint the space was built for.
@@ -387,7 +338,7 @@ impl SearchSpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traversal::DistanceStrategy;
+    use crate::traversal::{DistanceIndex, DistanceStrategy};
 
     /// Figure 1(a) graph; naming s=0, a=1, c=2, t=3, h=4, b=5, i=6, j=7.
     fn figure1() -> DiGraph {
@@ -411,8 +362,24 @@ mod tests {
         )
     }
 
+    /// The hash-map distance engine: the independent reference the
+    /// compacted space is checked against.
     fn index(g: &DiGraph, k: u32) -> DistanceIndex {
         DistanceIndex::compute(g, 0, 3, k, DistanceStrategy::AdaptiveBidirectional)
+    }
+
+    /// Distances of the 0 → 3 query from the epoch-stamped engine.
+    fn flat(g: &DiGraph, k: u32) -> FlatDistances {
+        let mut fd = FlatDistances::new();
+        fd.compute(g, 0, 3, k, DistanceStrategy::AdaptiveBidirectional);
+        fd
+    }
+
+    /// A fresh space built from `fd`.
+    fn space_of(g: &DiGraph, fd: &FlatDistances) -> SearchSpace {
+        let mut space = SearchSpace::new();
+        space.rebuild_from_flat(g, fd, &mut SpaceScratch::new());
+        space
     }
 
     #[test]
@@ -420,7 +387,7 @@ mod tests {
         let g = figure1();
         for k in 2..=8u32 {
             let idx = index(&g, k);
-            let space = SearchSpace::build(&g, &idx);
+            let space = space_of(&g, &flat(&g, k));
             assert_eq!(space.vertex_count(), idx.space_size(), "k={k}");
             for v in g.vertices() {
                 assert_eq!(
@@ -442,7 +409,7 @@ mod tests {
         let g = figure1();
         for k in 2..=8u32 {
             let idx = index(&g, k);
-            let space = SearchSpace::build(&g, &idx);
+            let space = space_of(&g, &flat(&g, k));
             let mut space_edges: Vec<(VertexId, VertexId)> = Vec::new();
             for u in 0..space.vertex_count() as u32 {
                 for &v in space.out_neighbors(u) {
@@ -461,8 +428,7 @@ mod tests {
     #[test]
     fn in_adjacency_mirrors_out_adjacency() {
         let g = figure1();
-        let idx = index(&g, 7);
-        let space = SearchSpace::build(&g, &idx);
+        let space = space_of(&g, &flat(&g, 7));
         for u in 0..space.vertex_count() as u32 {
             for &v in space.out_neighbors(u) {
                 assert!(space.in_neighbors(v).contains(&u));
@@ -489,7 +455,7 @@ mod tests {
         // Reuse the same containers across different k values.
         for k in [7u32, 3, 8, 2] {
             let idx = index(&g, k);
-            space.rebuild(&g, &idx, &mut scratch);
+            space.rebuild_from_flat(&g, &flat(&g, k), &mut scratch);
             assert_eq!(space.global(space.source_local()), 0, "k={k}");
             assert_eq!(space.global(space.target_local()), 3, "k={k}");
             assert_eq!(space.hop_constraint(), k);
@@ -509,8 +475,9 @@ mod tests {
     #[test]
     fn infeasible_query_yields_empty_space() {
         let g = DiGraph::from_edges(4, [(0, 1), (2, 3)]);
-        let idx = DistanceIndex::compute(&g, 0, 3, 6, DistanceStrategy::AdaptiveBidirectional);
-        let space = SearchSpace::build(&g, &idx);
+        let fd = flat(&g, 6);
+        assert!(!fd.is_feasible());
+        let space = space_of(&g, &fd);
         assert!(space.is_empty());
         assert_eq!(space.vertex_count(), 0);
         assert_eq!(space.edge_count(), 0);
@@ -525,13 +492,13 @@ mod tests {
         // k = 3 excludes vertex i (6); a later k = 8 rebuild must include it
         // again, and a subsequent k = 3 rebuild must exclude it without any
         // clearing in between.
-        let small = index(&g, 3);
-        let large = index(&g, 8);
-        space.rebuild(&g, &small, &mut scratch);
+        let small = flat(&g, 3);
+        let large = flat(&g, 8);
+        space.rebuild_from_flat(&g, &small, &mut scratch);
         assert_eq!(space.local_of(6), None);
-        space.rebuild(&g, &large, &mut scratch);
+        space.rebuild_from_flat(&g, &large, &mut scratch);
         assert!(space.local_of(6).is_some());
-        space.rebuild(&g, &small, &mut scratch);
+        space.rebuild_from_flat(&g, &small, &mut scratch);
         assert_eq!(space.local_of(6), None);
     }
 }

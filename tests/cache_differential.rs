@@ -160,7 +160,7 @@ proptest! {
         prop_assert!(cache.bytes() <= 1024);
     }
 
-    /// Sequential `CachedEve::query_with` on one reused workspace agrees
+    /// Sequential `CachedEve::query_batch` on one reused workspace agrees
     /// with the parallel cached executor slot-for-slot.
     #[test]
     fn sequential_cached_agrees_with_parallel((g, batch) in graph_and_batch()) {

@@ -18,7 +18,7 @@ use std::thread;
 
 use hop_spg::eve::{BatchExecutor, CachedEve, Eve, FlightGroup, Query, QueryWorkspace, SpgCache};
 use hop_spg::graph::generators::gnm_random;
-use hop_spg::graph::VersionedGraph;
+use hop_spg::graph::{QueryBudget, VersionedGraph};
 use hop_spg::workloads::{hit_miss_queries, repeat_heavy_queries};
 
 /// Deterministic per-thread shuffle so threads interleave hot keys
@@ -58,9 +58,12 @@ fn stress(threads: usize, rounds: usize, budget: usize) {
             scope.spawn(move || {
                 let mut ws = QueryWorkspace::new();
                 let mut check = QueryWorkspace::new();
+                let unlimited = QueryBudget::unlimited();
                 for round in 0..rounds {
                     for (i, &q) in workload.iter().enumerate() {
-                        let got = cached.query_with(&mut ws, q).expect("valid workload");
+                        let (got, _) = cached
+                            .query_with_outcome_budgeted(&mut ws, q, &unlimited)
+                            .expect("valid workload");
                         lookups.fetch_add(1, Ordering::Relaxed);
                         // Spot-check served answers against a fresh compute
                         // on a rotating subset (checking all 180 × rounds
@@ -98,7 +101,9 @@ fn stress(threads: usize, rounds: usize, budget: usize) {
     let mut ws = QueryWorkspace::new();
     let mut fresh_ws = QueryWorkspace::new();
     for &q in &workload {
-        let via_cache = cached.query_with(&mut ws, q).unwrap();
+        let (via_cache, _) = cached
+            .query_with_outcome_budgeted(&mut ws, q, &QueryBudget::unlimited())
+            .unwrap();
         let fresh = eve.query_with(&mut fresh_ws, q).unwrap();
         assert_eq!(via_cache.edges(), fresh.edges(), "final consistency: {q}");
     }

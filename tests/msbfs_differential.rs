@@ -8,8 +8,9 @@
 //! shared traversal are identical to the per-query [`FlatDistances`] engine
 //! under **all three** [`DistanceStrategy`] variants, and to the hash-map
 //! [`DistanceIndex`]. The sweep covers every lane-block width (64-, 128-
-//! and 256-lane cohorts), every [`FrontierMode`], and a spread of α/β
-//! hysteresis [`FrontierPolicy`] thresholds. This is the property that
+//! and 256-lane cohorts) and a spread of α/β [`FrontierPolicy`]
+//! thresholds, including the two extremes that force pure top-down and
+//! pure bottom-up expansion. This is the property that
 //! makes cohort-shared batch answers bit-identical to per-query answers.
 //!
 //! A separate executor-level test covers the widening payoff end to end: a
@@ -24,8 +25,8 @@ use hop_spg::eve::{BatchExecutor, Eve, LaneWidth, Query};
 use hop_spg::graph::generators::gnm_random;
 use hop_spg::graph::traversal::{DistanceIndex, DistanceStrategy};
 use hop_spg::graph::{
-    DiGraph, Direction, FlatDistances, FrontierMode, FrontierPolicy, LaneBlock, Lanes128, Lanes256,
-    Lanes64, MsBfsEngine, MsBfsLane,
+    DiGraph, Direction, FlatDistances, FrontierPolicy, LaneBlock, Lanes128, Lanes256, Lanes64,
+    MsBfsEngine, MsBfsLane,
 };
 
 /// A lane spec: endpoints, the query hop budget `k`, and how much deeper
@@ -124,7 +125,6 @@ fn check_width<B: LaneBlock>(
     g: &DiGraph,
     lanes: &[LaneSpec],
     expected: &[FlatDistances],
-    mode: FrontierMode,
     policy: FrontierPolicy,
 ) {
     let n = g.vertex_count();
@@ -137,7 +137,6 @@ fn check_width<B: LaneBlock>(
         })
         .collect();
     let mut engine = MsBfsEngine::<B>::new();
-    engine.set_mode(mode);
     engine.set_policy(policy);
     engine.run(g, &engine_lanes);
     for (lane, (&spec, exp)) in lanes.iter().zip(expected).enumerate() {
@@ -145,20 +144,20 @@ fn check_width<B: LaneBlock>(
         assert_eq!(
             loaded.is_feasible(),
             exp.is_feasible(),
-            "feasibility: {} lanes {mode:?} {policy:?} lane {lane} {spec:?}",
+            "feasibility: {} lanes {policy:?} lane {lane} {spec:?}",
             B::LANES
         );
         for v in g.vertices() {
             assert_eq!(
                 loaded.dist_from_s(v),
                 exp.dist_from_s(v),
-                "dist_from_s: {} lanes {mode:?} {policy:?} lane {lane} v {v} {spec:?}",
+                "dist_from_s: {} lanes {policy:?} lane {lane} v {v} {spec:?}",
                 B::LANES
             );
             assert_eq!(
                 loaded.dist_to_t(v),
                 exp.dist_to_t(v),
-                "dist_to_t: {} lanes {mode:?} {policy:?} lane {lane} v {v} {spec:?}",
+                "dist_to_t: {} lanes {policy:?} lane {lane} v {v} {spec:?}",
                 B::LANES
             );
             assert_eq!(loaded.in_search_space(v), exp.in_search_space(v));
@@ -166,58 +165,44 @@ fn check_width<B: LaneBlock>(
     }
 }
 
-/// (mode, policy) configurations the width sweep exercises: every frontier
-/// mode under the default α/β hysteresis, plus the direction-optimizing
-/// mode under a sluggish hysteresis, an eager-entry / early-exit one that
-/// flips direction often, and an eager, sticky one.
-const CONFIGS: [(FrontierMode, FrontierPolicy); 6] = [
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy { alpha: 2, beta: 8 },
-    ),
-    (
-        FrontierMode::TopDownOnly,
-        FrontierPolicy { alpha: 2, beta: 8 },
-    ),
-    (
-        FrontierMode::BottomUpOnly,
-        FrontierPolicy { alpha: 2, beta: 8 },
-    ),
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy {
-            alpha: 14,
-            beta: 24,
-        },
-    ),
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy { alpha: 8, beta: 2 },
-    ),
-    (
-        FrontierMode::DirectionOptimizing,
-        FrontierPolicy {
-            alpha: 16,
-            beta: 64,
-        },
-    ),
+/// Direction-switch policies the width sweep exercises: pure top-down
+/// (`alpha = 0` never enters bottom-up), pure bottom-up (`alpha = beta =
+/// u32::MAX` enters on any frontier with an incident edge and never exits),
+/// the default α/β hysteresis, a sluggish one, an eager-entry / early-exit
+/// one that flips direction often, and an eager, sticky one.
+const CONFIGS: [FrontierPolicy; 6] = [
+    FrontierPolicy { alpha: 0, beta: 8 },
+    FrontierPolicy {
+        alpha: u32::MAX,
+        beta: u32::MAX,
+    },
+    FrontierPolicy { alpha: 2, beta: 8 },
+    FrontierPolicy {
+        alpha: 14,
+        beta: 24,
+    },
+    FrontierPolicy { alpha: 8, beta: 2 },
+    FrontierPolicy {
+        alpha: 16,
+        beta: 64,
+    },
 ];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Shared-lane distances ≡ `FlatDistances` ≡ `DistanceIndex` for every
-    /// lane-block width, frontier mode and frontier policy, every vertex.
+    /// lane-block width and frontier policy, every vertex.
     #[test]
     fn msbfs_matches_per_query_engines((g, lanes) in graph_and_lanes()) {
         if lanes.is_empty() {
             return Ok(None); // vendored-proptest case rejection
         }
         let expected = reference_distances(&g, &lanes);
-        for (mode, policy) in CONFIGS {
-            check_width::<Lanes64>(&g, &lanes, &expected, mode, policy);
-            check_width::<Lanes128>(&g, &lanes, &expected, mode, policy);
-            check_width::<Lanes256>(&g, &lanes, &expected, mode, policy);
+        for policy in CONFIGS {
+            check_width::<Lanes64>(&g, &lanes, &expected, policy);
+            check_width::<Lanes128>(&g, &lanes, &expected, policy);
+            check_width::<Lanes256>(&g, &lanes, &expected, policy);
         }
     }
 

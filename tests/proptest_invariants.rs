@@ -7,7 +7,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use hop_spg::baselines::{khsq_plus, spg_by_enumeration, EnumerationAlgorithm};
-use hop_spg::eve::{Eve, EveConfig, Query};
+use hop_spg::eve::{Eve, EveConfig, Query, QueryWorkspace};
 use hop_spg::graph::{DiGraph, DistanceStrategy};
 
 /// Strategy: a small random digraph plus a query on it.
@@ -61,7 +61,9 @@ proptest! {
     /// The upper-bound graph contains the answer and is exact for k ≤ 4.
     #[test]
     fn upper_bound_soundness((g, q) in graph_and_query()) {
-        let out = Eve::with_defaults(&g).query_detailed(q).unwrap();
+        let out = Eve::with_defaults(&g)
+            .query_detailed_with(&mut QueryWorkspace::new(), q)
+            .unwrap();
         prop_assert!(out.spg.as_subgraph().is_subgraph_of(&out.upper_bound));
         if q.k <= 4 {
             prop_assert_eq!(out.upper_bound.edge_count(), out.spg.edge_count());

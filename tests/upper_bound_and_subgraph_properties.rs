@@ -2,7 +2,7 @@
 //! the answer itself, checked across crates.
 
 use hop_spg::baselines::{khsq_plus, spg_by_enumeration, EnumerationAlgorithm};
-use hop_spg::eve::{Eve, Query};
+use hop_spg::eve::{Eve, Query, QueryWorkspace};
 use hop_spg::graph::generators::gnm_random;
 use hop_spg::workloads::reachable_queries;
 
@@ -15,7 +15,9 @@ fn upper_bound_contains_answer_and_is_exact_for_small_k() {
         let eve = Eve::with_defaults(&g);
         for k in 2..=7u32 {
             for q in reachable_queries(&g, 4, k, seed) {
-                let out = eve.query_detailed(q).unwrap();
+                let out = eve
+                    .query_detailed_with(&mut QueryWorkspace::new(), q)
+                    .unwrap();
                 assert!(
                     out.spg.as_subgraph().is_subgraph_of(&out.upper_bound),
                     "answer ⊄ upper bound for {q}"
