@@ -448,13 +448,27 @@ impl SpgCache {
     /// lock is held only for the O(1) probe + recency bump; the deep copy
     /// handed to the caller happens after it is released.
     pub fn get(&self, version: GraphVersion, query: Query) -> Option<SimplePathGraph> {
+        let hit = self.get_hit(version, query);
+        if hit.is_none() {
+            self.counters.misses.fetch_add(1, Ordering::Relaxed); // spg-analyze: allow(hot-loop) — one bump per cache probe, not an inner loop
+        }
+        hit.map(|arc| (*arc).clone())
+    }
+
+    /// Probes for `query` (already clamped) on snapshot `version` and counts
+    /// a hit only: a miss is left uncounted because the caller forwards it
+    /// to a drain whose own [`SpgCache::get`] books it, so a query probed
+    /// twice on its way to the engine still counts once. The serving
+    /// frontend answers hits with this on its connection threads; it hands
+    /// out the shared answer, so a hit that is only encoded pays no deep
+    /// copy.
+    pub fn get_hit(&self, version: GraphVersion, query: Query) -> Option<Arc<SimplePathGraph>> {
         let key = CacheKey::new(version, query);
         let hit = self.shard_for(&key).lock().expect("cache shard").get(&key); // lock: cache.shard
-        match &hit {
-            Some(_) => self.counters.hits.fetch_add(1, Ordering::Relaxed), // spg-analyze: allow(hot-loop) — one bump per cache probe, not an inner loop
-            None => self.counters.misses.fetch_add(1, Ordering::Relaxed), // spg-analyze: allow(hot-loop) — one bump per cache probe, not an inner loop
-        };
-        hit.map(|arc| (*arc).clone())
+        if hit.is_some() {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed); // spg-analyze: allow(hot-loop) — one bump per cache probe, not an inner loop
+        }
+        hit
     }
 
     /// [`SpgCache::get`] without touching the hit/miss counters. The
@@ -860,6 +874,20 @@ mod tests {
         assert!(stats.bytes > 0 && stats.bytes <= stats.budget_bytes);
         assert_eq!(stats.hit_rate(), Some(0.5));
         assert!(!cache.is_empty());
+    }
+
+    #[test]
+    fn get_hit_counts_hits_and_leaves_misses_to_the_next_probe() {
+        let cache = SpgCache::new(1 << 16);
+        let a = answer(1, 4);
+        // A miss forwarded to a counted probe is booked once.
+        assert!(cache.get_hit(7, q(0, 1, 3)).is_none());
+        assert!(cache.get(7, q(0, 1, 3)).is_none());
+        cache.insert(7, q(0, 1, 3), &a);
+        let hit = cache.get_hit(7, q(0, 1, 3)).expect("hit");
+        assert_eq!(hit.edges(), a.edges());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 1));
     }
 
     #[test]

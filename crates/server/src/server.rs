@@ -7,11 +7,16 @@
 //!   spawning one handler thread per connection.
 //! * **Connection handlers** — each reads length-prefixed frames
 //!   ([`crate::protocol`]), answers `ping`/`stats` and protocol errors
-//!   inline, and pushes admitted queries into the shared
-//!   [`BatchQueue`]. Responses are written by whichever thread finishes the
-//!   work, serialised per connection by a write lock, so one slow query
-//!   never blocks the wire for its neighbours and responses may arrive out
-//!   of request order (clients correlate by `id`).
+//!   inline, and answers an admitted query inline too when the shared
+//!   [`SpgCache`] already holds it for the current graph snapshot and its
+//!   deadline is still live: a hit has no Phase-1 work to share with a
+//!   cohort, so it never waits out the batch-forming window (counted as
+//!   `inline_hits` in `stats`). Every other admitted query — misses,
+//!   invalid queries, expired deadlines, keys already in flight — is pushed
+//!   into the shared [`BatchQueue`]. Responses are written by whichever
+//!   thread finishes the work, serialised per connection by a write lock, so
+//!   one slow query never blocks the wire for its neighbours and responses
+//!   may arrive out of request order (clients correlate by `id`).
 //! * **Batcher** — a single thread drains the queue in deadline-bounded
 //!   micro-batches and runs each through
 //!   [`BatchExecutor::run_cached_coalesced_with_deadlines`]: probe the
@@ -26,11 +31,15 @@
 //! batch on its **connection thread** under the graph's write lock
 //! ([`spg_core::apply_delta_scoped`]), while the batcher binds each drain
 //! to the current snapshot under the read lock — so a drain always sees a
-//! consistent graph and an update waits at most one micro-batch. Deltas
-//! keep the graph version (queries see the base CSR plus an overlay merged
-//! at traversal time) and purge only the cache entries the batch could have
-//! affected; unaffected hot keys keep serving hits. The `stats` op reports
-//! `deltas_applied`, `entries_purged_scoped` and `overlay_compactions`.
+//! consistent graph and an update waits at most one micro-batch. The
+//! connection threads' cache probe holds the same read lock, so it sees
+//! either the pre-delta graph and cache or the post-delta graph and purged
+//! cache: a query sent after an update's response is never served a stale
+//! hit. Deltas keep the graph version (queries see the base CSR plus an
+//! overlay merged at traversal time) and purge only the cache entries the
+//! batch could have affected; unaffected hot keys keep serving hits. The
+//! `stats` op reports `deltas_applied`, `entries_purged_scoped` and
+//! `overlay_compactions`.
 //!
 //! ## Back-pressure
 //!
@@ -42,7 +51,8 @@
 //!
 //! A query request may carry `deadline_ms`; the deadline clock starts when
 //! the frame is parsed. A request whose deadline has already passed when
-//! the batcher claims its batch is *shed* — answered with an explicit
+//! its connection thread would answer it from the cache, or when the
+//! batcher claims its batch, is *shed* — answered with an explicit
 //! `expired` response and never executed (counted as `shed_expired` in
 //! `stats`). Live deadlines ride into the engine as per-slot
 //! [`spg_core::QueryError::DeadlineExceeded`] budgets.
@@ -70,8 +80,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use spg_core::{
-    apply_delta_scoped, BatchExecutor, CachedEve, FlightGroup, LaneWidth, Query, QueryError,
-    SpgCache,
+    apply_delta_scoped, BatchExecutor, CacheOutcome, CachedEve, FlightGroup, LaneWidth, Query,
+    QueryError, SimplePathGraph, SpgCache,
 };
 use spg_graph::{DiGraph, EdgeDelta, VersionedGraph};
 
@@ -137,6 +147,9 @@ struct ServerCounters {
     requests: AtomicU64,
     /// Query responses with `status: ok`.
     answered: AtomicU64,
+    /// The subset of `answered` served from the cache on the connection
+    /// thread, without entering the batch queue.
+    inline_hits: AtomicU64,
     /// Query responses with `status: error` from [`spg_core::QueryError`].
     query_errors: AtomicU64,
     /// Frames refused before reaching the engine (malformed, oversized).
@@ -200,7 +213,8 @@ impl Connection {
 /// Everything the server's threads share.
 struct ServerState {
     /// The served graph. Connection threads take the write lock to apply
-    /// `update` batches; the batcher takes the read lock per drain.
+    /// `update` batches and the read lock to probe the cache; the batcher
+    /// takes the read lock per drain.
     graph: RwLock<VersionedGraph>,
     cache: SpgCache,
     flights: FlightGroup,
@@ -235,9 +249,10 @@ impl ServerHandle {
     }
 
     /// Chaos hook (failpoints builds only): makes the batcher thread panic
-    /// just before it claims its next batch, exercising the supervisor's
+    /// right after it answers its next batch, exercising the supervisor's
     /// respawn path without losing any admitted query. The batcher only
-    /// observes the flag when it wakes, so pair this with a query.
+    /// observes the flag after a batch, so pair this with a query that
+    /// reaches it (a cache hit is answered on its connection thread).
     #[cfg(feature = "failpoints")]
     pub fn chaos_kill_batcher(&self) {
         self.state.chaos_kill_batcher.store(true, Ordering::SeqCst);
@@ -487,6 +502,21 @@ fn handle_frame(state: &Arc<ServerState>, conn: &Arc<Connection>, payload: &[u8]
             // too large for the clock saturates to unlimited.
             let deadline =
                 deadline_ms.and_then(|ms| Instant::now().checked_add(Duration::from_millis(ms)));
+            // Cache hits are answered right here; an expired deadline is
+            // left to the batcher, which sheds it with an `expired` reply.
+            if deadline.map_or(true, |d| d > Instant::now()) {
+                if let Some(hit) = cached_answer(state, query) {
+                    state.counters.answered.fetch_add(1, Ordering::Relaxed);
+                    state.counters.inline_hits.fetch_add(1, Ordering::Relaxed);
+                    conn.send(&ok_response(
+                        id,
+                        CacheOutcome::Hit,
+                        hit.query().k,
+                        hit.edges(),
+                    ));
+                    return;
+                }
+            }
             let pending = PendingQuery {
                 id,
                 query,
@@ -540,6 +570,18 @@ fn handle_frame(state: &Arc<ServerState>, conn: &Arc<Connection>, payload: &[u8]
     }
 }
 
+/// The connection thread's cache probe: the answer to `query` if it is
+/// valid and resident for the current graph snapshot. The graph read lock
+/// keeps the probe consistent with `update` (which purges under the write
+/// lock) and is released before the caller writes the response. A miss is
+/// not counted here: the batcher's probe books it.
+fn cached_answer(state: &ServerState, query: Query) -> Option<Arc<SimplePathGraph>> {
+    let graph = state.graph.read().expect("server graph"); // lock: server.graph
+    query.validate(graph.graph()).ok()?;
+    let clamped = query.clamped_to(graph.graph());
+    state.cache.get_hit(graph.version(), clamped)
+}
+
 /// The single batcher thread: drain micro-batches until shutdown.
 fn batcher_loop(state: &Arc<ServerState>) {
     let executor = if state.config.threads == 0 {
@@ -550,98 +592,98 @@ fn batcher_loop(state: &Arc<ServerState>) {
     .shared_phase1(state.config.shared_phase1)
     .phase1_lanes(state.config.phase1_lanes);
 
-    loop {
-        // Chaos hook: die here, *between* batches, so the supervisor's
-        // respawn path is exercised without losing any admitted query.
+    while let Some(batch) = state.queue.next_batch() {
+        drain_batch(state, &executor, &batch);
+        // Chaos hook: die here, *between* batches and after answering the
+        // one just claimed, so the supervisor's respawn path is exercised
+        // without losing any admitted query, and the query that woke a
+        // doomed batcher is always answered before it dies.
         #[cfg(feature = "failpoints")]
         if state.chaos_kill_batcher.swap(false, Ordering::SeqCst) {
             panic!("chaos: batcher killed by test hook");
         }
-        let Some(batch) = state.queue.next_batch() else {
-            break;
-        };
-        state.counters.batches.fetch_add(1, Ordering::Relaxed);
-        state
-            .counters
-            .max_batch
-            .fetch_max(batch.len() as u64, Ordering::Relaxed);
+    }
+}
 
-        // Shed requests whose deadline burned away while they queued: an
-        // explicit `expired` response now beats a `deadline exceeded` error
-        // after paying for a doomed execution.
-        let now = Instant::now();
-        let mut live: Vec<&PendingQuery> = Vec::with_capacity(batch.len());
-        for pending in &batch {
-            match pending.deadline {
-                Some(deadline) if deadline <= now => {
-                    state.counters.shed_expired.fetch_add(1, Ordering::Relaxed);
-                    pending.conn.send(&expired_response(pending.id));
-                }
-                _ => live.push(pending),
+/// Answers one claimed micro-batch: sheds expired requests, runs the live
+/// ones through the cached, coalesced executor and writes every response.
+fn drain_batch(state: &ServerState, executor: &BatchExecutor, batch: &[PendingQuery]) {
+    state.counters.batches.fetch_add(1, Ordering::Relaxed);
+    state
+        .counters
+        .max_batch
+        .fetch_max(batch.len() as u64, Ordering::Relaxed);
+
+    // Shed requests whose deadline burned away while they queued: an
+    // explicit `expired` response now beats a `deadline exceeded` error
+    // after paying for a doomed execution.
+    let now = Instant::now();
+    let mut live: Vec<&PendingQuery> = Vec::with_capacity(batch.len());
+    for pending in batch {
+        match pending.deadline {
+            Some(deadline) if deadline <= now => {
+                state.counters.shed_expired.fetch_add(1, Ordering::Relaxed);
+                pending.conn.send(&expired_response(pending.id));
             }
+            _ => live.push(pending),
         }
-        if live.is_empty() {
-            continue;
-        }
+    }
+    if live.is_empty() {
+        return;
+    }
 
-        let queries: Vec<Query> = live.iter().map(|p| p.query).collect();
-        let deadlines: Vec<Option<Instant>> = live.iter().map(|p| p.deadline).collect();
-        // Bind to the *current* snapshot per drain — `update` requests may
-        // have mutated the graph since the last batch. Holding the read
-        // lock across the drain keeps the batch consistent: an update waits
-        // for the write lock until this drain's responses are computed.
-        let graph = state.graph.read().expect("server graph"); // lock: server.graph
-        let cached = CachedEve::with_defaults(&graph, &state.cache);
-        let drained = catch_unwind(AssertUnwindSafe(|| {
-            executor.run_cached_coalesced_with_deadlines(
-                &cached,
-                &state.flights,
-                &queries,
-                &deadlines,
-            )
-        }));
-        match drained {
-            Ok(outcome) => {
-                state
-                    .counters
-                    .panics_isolated
-                    .fetch_add(outcome.stats.panics_isolated as u64, Ordering::Relaxed);
-                for (i, pending) in live.iter().enumerate() {
-                    match &outcome.results[i] {
-                        Ok(spg) => {
-                            state.counters.answered.fetch_add(1, Ordering::Relaxed);
-                            let source = outcome.slot_sources[i]
-                                .expect("ok slots always carry a cache outcome"); // spg-analyze: allow(no-panic) — ok slots always carry a cache outcome
-                            pending.conn.send(&ok_response(
-                                pending.id,
-                                source,
-                                spg.query().k,
-                                spg.edges(),
-                            ));
+    let queries: Vec<Query> = live.iter().map(|p| p.query).collect();
+    let deadlines: Vec<Option<Instant>> = live.iter().map(|p| p.deadline).collect();
+    // Bind to the *current* snapshot per drain — `update` requests may
+    // have mutated the graph since the last batch. Holding the read
+    // lock across the drain keeps the batch consistent: an update waits
+    // for the write lock until this drain's responses are computed.
+    let graph = state.graph.read().expect("server graph"); // lock: server.graph
+    let cached = CachedEve::with_defaults(&graph, &state.cache);
+    let drained = catch_unwind(AssertUnwindSafe(|| {
+        executor.run_cached_coalesced_with_deadlines(&cached, &state.flights, &queries, &deadlines)
+    }));
+    match drained {
+        Ok(outcome) => {
+            state
+                .counters
+                .panics_isolated
+                .fetch_add(outcome.stats.panics_isolated as u64, Ordering::Relaxed);
+            for (i, pending) in live.iter().enumerate() {
+                match &outcome.results[i] {
+                    Ok(spg) => {
+                        state.counters.answered.fetch_add(1, Ordering::Relaxed);
+                        let source =
+                            outcome.slot_sources[i].expect("ok slots always carry a cache outcome"); // spg-analyze: allow(no-panic) — ok slots always carry a cache outcome
+                        pending.conn.send(&ok_response(
+                            pending.id,
+                            source,
+                            spg.query().k,
+                            spg.edges(),
+                        ));
+                    }
+                    Err(err) => {
+                        state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
+                        if matches!(err, QueryError::DeadlineExceeded) {
+                            state
+                                .counters
+                                .deadline_exceeded
+                                .fetch_add(1, Ordering::Relaxed);
                         }
-                        Err(err) => {
-                            state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
-                            if matches!(err, QueryError::DeadlineExceeded) {
-                                state
-                                    .counters
-                                    .deadline_exceeded
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            pending.conn.send(&query_error_response(pending.id, err));
-                        }
+                        pending.conn.send(&query_error_response(pending.id, err));
                     }
                 }
             }
-            Err(_) => {
-                // Contain the crash to this batch: flight tokens abandoned on
-                // unwind, joiners in other drains recompute, we keep serving.
-                for pending in &live {
-                    state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
-                    pending.conn.send(&error_response(
-                        Some(pending.id),
-                        "internal error: batch execution panicked",
-                    ));
-                }
+        }
+        Err(_) => {
+            // Contain the crash to this batch: flight tokens abandoned on
+            // unwind, joiners in other drains recompute, we keep serving.
+            for pending in &live {
+                state.counters.query_errors.fetch_add(1, Ordering::Relaxed);
+                pending.conn.send(&error_response(
+                    Some(pending.id),
+                    "internal error: batch execution panicked",
+                ));
             }
         }
     }
@@ -671,6 +713,10 @@ fn stats_response(state: &Arc<ServerState>, id: u64) -> String {
                 (
                     "answered".into(),
                     Json::Uint(c.answered.load(Ordering::Relaxed)),
+                ),
+                (
+                    "inline_hits".into(),
+                    Json::Uint(c.inline_hits.load(Ordering::Relaxed)),
                 ),
                 (
                     "query_errors".into(),

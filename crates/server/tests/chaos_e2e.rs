@@ -42,6 +42,14 @@ const ALLOWED_ERRORS: [&str; 4] = [
     "internal error: batch execution panicked",
 ];
 
+/// The subset of [`ALLOWED_ERRORS`] only a `panic` or `budget` failpoint
+/// produces: the storm sets deadlines but no work budget.
+const INJECTED_ERRORS: [&str; 3] = [
+    "query work budget exceeded",
+    "internal error: query execution panicked",
+    "internal error: batch execution panicked",
+];
+
 /// A spawned `spg-server` process, killed on drop so a failing assertion
 /// cannot leak a listener.
 struct ServerProcess {
@@ -190,6 +198,7 @@ fn every_request_is_answered_under_faults_at_every_site() {
                 let mut client = server.connect();
                 let expected = Arc::clone(&expected);
                 std::thread::spawn(move || {
+                    let mut injected = 0u64;
                     for i in 0..REQUESTS {
                         let (s, t, k, deadline_ms) = storm_query(thread, i);
                         let id = thread * 1000 + i;
@@ -200,12 +209,38 @@ fn every_request_is_answered_under_faults_at_every_site() {
                             panic!("request {id} got no response under {spec:?}: {e}")
                         });
                         assert_uncorrupted(&reply, id, &expected, (s, t, k));
+                        injected += u64::from(
+                            reply
+                                .error
+                                .as_deref()
+                                .is_some_and(|e| INJECTED_ERRORS.contains(&e)),
+                        );
                     }
+                    injected
                 })
             })
             .collect();
-        for worker in workers {
-            worker.join().expect("storm thread");
+        let injected: u64 = workers
+            .into_iter()
+            .map(|worker| worker.join().expect("storm thread"))
+            .sum();
+        // The storm's keys never repeat, so no request was answered from
+        // the cache on its connection thread: every one reached the batcher
+        // and its fault sites. Each panic or budget hit errors at least one
+        // request of its own, so the whole hit budget is spent in the storm.
+        let stats = server.connect().stats(9998).expect("stats");
+        assert_eq!(
+            stat(&stats, "inline_hits"),
+            0,
+            "every storm request reaches the batcher under {spec:?}"
+        );
+        if !spec.contains("delay") {
+            let (_, hits) = spec.rsplit_once('*').expect("specs carry a hit budget");
+            let hits: u64 = hits.parse().expect("numeric hit budget");
+            assert!(
+                injected >= hits,
+                "{spec:?} spent only {injected} of its hits during the storm"
+            );
         }
 
         // The hit budgets are long spent: a fresh, never-stormed query must
@@ -222,7 +257,7 @@ fn every_request_is_answered_under_faults_at_every_site() {
             Some(clean.edges()),
             "post-chaos answers are bit-identical ({spec:?})"
         );
-        println!("CHAOS-OK no-hang no-corruption recovered spec={spec}");
+        println!("CHAOS-OK no-hang no-corruption recovered spec={spec} injected={injected}");
     }
     println!("CHAOS-SUITE-PASS all sites injected, all requests answered");
 }
@@ -263,10 +298,12 @@ fn a_killed_batcher_is_respawned_and_service_continues() {
         ..ServerConfig::default()
     });
 
-    let before = client.query(1, 0, 1, 4).expect("healthy query");
-    assert_eq!(before.status, "ok");
+    assert_eq!(
+        client.query(1, 0, 1, 4).expect("healthy query").status,
+        "ok"
+    );
 
-    // The batcher checks the kill flag when it wakes for a batch: this
+    // The batcher checks the kill flag after each batch it answers: this
     // query is answered by the doomed batcher, whose dying act follows it.
     handle.chaos_kill_batcher();
     let during = client
@@ -278,9 +315,18 @@ fn a_killed_batcher_is_respawned_and_service_continues() {
     );
 
     // The supervisor respawns within its 2ms poll; later queries just work.
-    let after = client.query(3, 0, 1, 4).expect("query after respawn");
+    // A fresh key: a repeat of query 1 would be answered from the cache on
+    // the connection thread and never reach the respawned batcher.
+    let after = client.query(3, 0, 2, 4).expect("query after respawn");
     assert_eq!(after.status, "ok");
-    assert_eq!(after.edges, before.edges, "the respawned engine agrees");
+    let local = Eve::new(&test_graph(), EveConfig::default())
+        .query(Query::new(0, 2, 4))
+        .expect("local answer");
+    assert_eq!(
+        after.edges.as_deref(),
+        Some(local.edges()),
+        "the respawned engine agrees"
+    );
 
     let stats = client.stats(4).expect("stats");
     assert_eq!(
@@ -308,11 +354,12 @@ fn repeated_batcher_deaths_fail_fast_with_an_error() {
 
     for round in 1..=4u64 {
         handle.chaos_kill_batcher();
-        // Each kill is observed when the batcher wakes: every one of these
-        // queries is still answered before its batcher dies.
+        // Each kill is observed after the batcher's next batch: every one
+        // of these queries is still answered before its batcher dies. Each
+        // round sends a fresh key, so a cache hit cannot skip the batcher.
         let reply = client
-            .query(round, 0, 1, 4)
-            .expect("query during kill round");
+            .query(round, 0, 1 + round as u32, 4)
+            .unwrap_or_else(|e| panic!("query during kill round {round}: {e}"));
         assert_eq!(reply.status, "ok", "round {round} was answered");
         if round <= 3 {
             // Wait for the supervisor to log the respawn before re-killing,

@@ -8,7 +8,7 @@
 //! overload must surface as explicit `overloaded` responses, never as a
 //! hang or a dropped connection.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -46,6 +46,15 @@ fn connect(addr: std::net::SocketAddr) -> SpgClient {
 /// Fresh request ids, unique across every thread of a test.
 fn next_id(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One counter of a `stats` response, e.g. `stat(&raw, "cache", "hits")`.
+fn stat(stats: &Json, section: &str, key: &str) -> u64 {
+    stats
+        .get(section)
+        .and_then(|s| s.get(key))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("stats field {section}.{key}"))
 }
 
 #[test]
@@ -185,21 +194,12 @@ fn concurrent_hot_misses_compute_once() {
     }
 
     let stats = connect(addr).stats(9000).expect("stats").raw;
-    let insertions = stats
-        .get("cache")
-        .and_then(|c| c.get("insertions"))
-        .and_then(spg_server::json::Json::as_u64)
-        .expect("cache.insertions");
     assert_eq!(
-        insertions, 1,
+        stat(&stats, "cache", "insertions"),
+        1,
         "12 concurrent misses on one hot key must compute exactly once"
     );
-    let answered = stats
-        .get("server")
-        .and_then(|s| s.get("answered"))
-        .and_then(spg_server::json::Json::as_u64)
-        .expect("server.answered");
-    assert_eq!(answered, CLIENTS as u64);
+    assert_eq!(stat(&stats, "server", "answered"), CLIENTS as u64);
 
     handle.shutdown();
     server.join().expect("clean server exit");
@@ -291,12 +291,10 @@ fn ping_and_stats_expose_the_engine() {
             "stats has a {section} section"
         );
     }
-    let hits = stats
-        .get("cache")
-        .and_then(|c| c.get("hits"))
-        .and_then(spg_server::json::Json::as_u64)
-        .expect("cache.hits");
-    assert!(hits >= 1, "the repeat query must register as a cache hit");
+    assert!(
+        stat(&stats, "cache", "hits") >= 1,
+        "the repeat query must register as a cache hit"
+    );
 
     handle.shutdown();
     server.join().expect("clean server exit");
@@ -377,13 +375,7 @@ fn update_round_trip_purges_scoped_and_serves_the_new_graph() {
 
     // The stats surface the whole story.
     let stats = client.stats(10).expect("stats").raw;
-    let server_stat = |key: &str| {
-        stats
-            .get("server")
-            .and_then(|s| s.get(key))
-            .and_then(Json::as_u64)
-            .expect(key)
-    };
+    let server_stat = |key: &str| stat(&stats, "server", key);
     assert_eq!(server_stat("deltas_applied"), 2);
     assert_eq!(server_stat("entries_purged_scoped"), 2);
     // The empty batch died at parse time (a bad request, not an update
@@ -432,18 +424,30 @@ fn already_expired_deadlines_are_shed_with_explicit_responses() {
         .expect("round trip");
     assert_eq!(ok.status, "ok");
     let plain = client.query(3, 0, 1, 4).expect("round trip");
+    assert_eq!(plain.source.as_deref(), Some("hit"));
     assert_eq!(
         ok.edges, plain.edges,
         "deadline does not perturb the answer"
     );
 
-    let stats = client.stats(4).expect("stats").raw;
-    let shed_expired = stats
-        .get("server")
-        .and_then(|s| s.get("shed_expired"))
-        .and_then(spg_server::json::Json::as_u64)
-        .expect("server.shed_expired");
-    assert_eq!(shed_expired, 1, "exactly the one shed query is counted");
+    // The key is now cached, but a dead deadline still sheds: the
+    // connection thread answers only hits whose deadline is live.
+    let shed_hit = client
+        .query_with_deadline(4, 0, 1, 4, 0)
+        .expect("round trip");
+    assert_eq!(shed_hit.status, "expired");
+
+    let stats = client.stats(5).expect("stats").raw;
+    assert_eq!(
+        stat(&stats, "server", "shed_expired"),
+        2,
+        "exactly the two shed queries are counted"
+    );
+    assert_eq!(
+        stat(&stats, "server", "inline_hits"),
+        1,
+        "only the live-deadline repeat is answered inline"
+    );
 
     handle.shutdown();
     server.join().expect("clean server exit");
@@ -489,6 +493,186 @@ fn retrying_client_rides_out_transient_refusals() {
     assert_eq!(
         error.error.as_deref(),
         Some("source and target must be distinct (both are 5)")
+    );
+
+    handle.shutdown();
+    server.join().expect("clean server exit");
+}
+
+#[test]
+fn cache_counters_count_each_query_once() {
+    const DISTINCT: u32 = 5;
+    const REPEATS: u64 = 7;
+    let (addr, handle, server) = start_server(ServerConfig {
+        batch_deadline: Duration::ZERO,
+        ..ServerConfig::default()
+    });
+    let mut client = connect(addr);
+    let mut id = 0..;
+    for t in 1..=DISTINCT {
+        let reply = client.query(id.next().unwrap(), 0, t, 4).expect("miss");
+        assert_eq!(reply.source.as_deref(), Some("miss"));
+    }
+    for i in 0..REPEATS {
+        let t = 1 + (i as u32 % DISTINCT);
+        let reply = client.query(id.next().unwrap(), 0, t, 4).expect("repeat");
+        assert_eq!(reply.source.as_deref(), Some("hit"));
+    }
+
+    // Each miss is probed twice (inline, then by the batcher) and must
+    // still be booked once; each repeat is one inline hit.
+    let stats = client.stats(id.next().unwrap()).expect("stats").raw;
+    assert_eq!(stat(&stats, "cache", "misses"), u64::from(DISTINCT));
+    assert_eq!(stat(&stats, "cache", "hits"), REPEATS);
+    assert_eq!(stat(&stats, "server", "inline_hits"), REPEATS);
+    assert_eq!(
+        stat(&stats, "server", "answered"),
+        u64::from(DISTINCT) + REPEATS
+    );
+
+    handle.shutdown();
+    server.join().expect("clean server exit");
+}
+
+#[test]
+fn a_cache_hit_is_not_held_behind_the_batch_window() {
+    // A window far longer than a hit's round trip: a hit that still went
+    // through the batch queue would ride in the same batch as the miss
+    // sent before it, and be answered after it.
+    let (addr, handle, server) = start_server(ServerConfig {
+        batch_deadline: Duration::from_millis(1500),
+        ..ServerConfig::default()
+    });
+    let graph = test_graph();
+    let eve = Eve::new(&graph, EveConfig::default());
+    let (a, b) = (Query::new(0, 1, 4), Query::new(3, 17, 6));
+    let mut client = connect(addr);
+    let warm = client.query(1, a.source, a.target, a.k).expect("warm A");
+    assert_eq!(warm.source.as_deref(), Some("miss"));
+
+    client
+        .send_query(2, b.source, b.target, b.k)
+        .expect("send B");
+    client
+        .send_query(3, a.source, a.target, a.k)
+        .expect("send A");
+    let first = client.recv().expect("first reply");
+    assert_eq!(first.id, Some(3), "the hit overtakes the queued miss");
+    assert_eq!(first.source.as_deref(), Some("hit"));
+    assert_eq!(
+        first.edges.as_deref(),
+        Some(eve.query(a).expect("local A").edges())
+    );
+    let second = client.recv().expect("second reply");
+    assert_eq!(second.id, Some(2));
+    assert_eq!(second.status, "ok");
+    assert_eq!(second.source.as_deref(), Some("miss"));
+    assert_eq!(
+        second.edges.as_deref(),
+        Some(eve.query(b).expect("local B").edges())
+    );
+
+    handle.shutdown();
+    server.join().expect("clean server exit");
+}
+
+/// One thread hammers a hot key while another alternately removes and
+/// restores an edge of its answer. Every `ok` reply must be the answer on
+/// the graph before or after an update in flight, and a query sent after an
+/// update's response was received must see that update: the inline hit
+/// path may never serve an entry the update purged.
+#[test]
+fn inline_hits_never_serve_a_stale_answer_across_updates() {
+    const UPDATES: u64 = 40;
+    let graph = test_graph();
+    let hot = Query::new(0, 1, 4);
+    let restored = Eve::new(&graph, EveConfig::default())
+        .query(hot)
+        .expect("local answer")
+        .edges()
+        .to_vec();
+    let toggled = restored[restored.len() / 2];
+    let without = DiGraph::from_edges(
+        graph.vertex_count(),
+        graph.edges().filter(|&edge| edge != toggled),
+    );
+    let removed = Eve::new(&without, EveConfig::default())
+        .query(hot)
+        .expect("local answer")
+        .edges()
+        .to_vec();
+    assert_ne!(removed, restored, "the toggled edge is in the answer");
+    // The answer after `j` completed updates: odd counts removed the edge.
+    let answers = Arc::new([restored.clone(), removed]);
+
+    let (addr, handle, server) = start_server(ServerConfig::default());
+    // `sent` is bumped before an update is sent, `acked` after its
+    // response is received.
+    let sent = Arc::new(AtomicU64::new(0));
+    let acked = Arc::new(AtomicU64::new(0));
+    let done = Arc::new(AtomicBool::new(false));
+
+    let hammer = {
+        let (sent, acked, done) = (Arc::clone(&sent), Arc::clone(&acked), Arc::clone(&done));
+        let answers = Arc::clone(&answers);
+        thread::spawn(move || {
+            let mut client = connect(addr);
+            let mut fresh_checks = 0u64;
+            let mut id = 0u64;
+            while !done.load(Ordering::SeqCst) {
+                id += 1;
+                let lo = acked.load(Ordering::SeqCst);
+                let reply = client
+                    .query(id, hot.source, hot.target, hot.k)
+                    .expect("hot query");
+                let hi = sent.load(Ordering::SeqCst);
+                assert_eq!(reply.status, "ok");
+                let edges = reply.edges.expect("ok replies carry edges");
+                if lo == hi {
+                    // No update was in flight: exactly `lo` have applied.
+                    assert_eq!(
+                        edges,
+                        answers[(lo % 2) as usize],
+                        "query {id} was sent after update {lo}'s response but missed it"
+                    );
+                    fresh_checks += 1;
+                } else {
+                    assert!(
+                        answers.contains(&edges),
+                        "query {id} matches neither graph of updates {lo}..={hi}"
+                    );
+                }
+            }
+            fresh_checks
+        })
+    };
+
+    let mut client = connect(addr);
+    for j in 1..=UPDATES {
+        sent.fetch_add(1, Ordering::SeqCst);
+        let reply = if j % 2 == 1 {
+            client.update(j, &[], &[toggled])
+        } else {
+            client.update(j, &[toggled], &[])
+        }
+        .expect("update");
+        assert_eq!(reply.status, "ok");
+        assert_eq!(reply.raw.get("applied").and_then(Json::as_u64), Some(1));
+        acked.fetch_add(1, Ordering::SeqCst);
+        thread::sleep(Duration::from_millis(1));
+    }
+    done.store(true, Ordering::SeqCst);
+    let fresh_checks = hammer.join().expect("hammer thread");
+    assert!(fresh_checks > 0, "some queries ran between updates");
+
+    let last = client
+        .query(1000, hot.source, hot.target, hot.k)
+        .expect("last");
+    assert_eq!(last.edges.as_deref(), Some(restored.as_slice()));
+    let stats = client.stats(1001).expect("stats").raw;
+    assert!(
+        stat(&stats, "server", "inline_hits") > 0,
+        "the hot key was served inline between updates"
     );
 
     handle.shutdown();
